@@ -12,6 +12,22 @@ phi with respect to a primitive 1-form lam (lam0 = (x dy - y dx)/2,
 optionally plus du) solves d(sigma) = phi*lam - lam and is anchored to
 vanish where the map is the identity near the boundary circle.  The
 Calabi invariant is the integral of sigma over the disk.
+
+Every value of the calculus is a closed form per primitive, joined
+along the composition:
+
+- a twist has sigma(r) = -int_r^S s^2 rho'(s) / 2 ds and
+  CAL = -(pi/2) int_0^S r^4 rho'(r) dr, both exact Gauss sums over the
+  profile's knot intervals;
+- a Hamiltonian step has sigma(z) = int_0^t (H + lam0(X_H))(phi_s z) ds,
+  one extra row of its point flow, and CAL = 2 t int H, which only the
+  m = 0 terms feed;
+- a composition adds them by the cocycle sigma_(p o q) = sigma_p o q +
+  sigma_q and CAL(p o q) = CAL(p) + CAL(q), and lam0 + du adds
+  u(phi z) - u(z) to sigma while leaving CAL unchanged.
+
+Line integrals of phi*lam - lam along rays and arcs are kept only as an
+independent check of sigma (`ActionField.path_independence_check`).
 """
 
 from __future__ import annotations
@@ -22,18 +38,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    DEFAULT_ODE,
-    DEFAULT_QUAD,
-    NonConvergenceError,
     OdeSpec,
     QuadratureSpec,
     RadialFunction,
     gauss_rule,
-    integrate_disk,
+    ode_flow,
 )
 
 _GAUSS5 = gauss_rule(5)
 _GAUSS15 = gauss_rule(15)
+
+
+def _gauss_pieces(fn, lo, hi):
+    """int_lo^hi fn for each pair of bounds, by one 5-point Gauss panel apiece.
+
+    Exact (to rounding) when fn is a polynomial of degree <= 9 on every
+    [lo, hi], which covers powers of r times a piecewise cubic's slope.
+    """
+    x, w = _GAUSS5
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * (fn(mid[..., None] + half[..., None] * x) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +203,34 @@ class RadialTwist:
     def __post_init__(self):
         if self.profile.parity != "even":
             raise ValueError("twist profile must have even parity")
+        # sigma at the knots, summed outside-in from sigma(support) = 0
+        knots = self.profile.knots
+        pieces = _gauss_pieces(self._dsigma, knots[:-1], knots[1:])
+        sig = np.zeros(knots.size)
+        sig[:-1] = -np.cumsum(pieces[::-1])[::-1]
+        object.__setattr__(self, "_sigma_knots", sig)
 
     @property
     def support(self) -> float:
         return float(self.profile.knots[-1])
+
+    def _dsigma(self, r):
+        # sigma'(r) = r^2 rho'(r) / 2, a degree-4 polynomial per knot interval
+        return 0.5 * r * r * self.profile.derivative(r)
+
+    def action(self, z):
+        """lam0-action sigma(|z|) = -int_|z|^support s^2 rho'(s) / 2 ds, exactly."""
+        knots = self.profile.knots
+        r = np.clip(np.abs(np.asarray(z)), knots[0], knots[-1])
+        idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
+        return self._sigma_knots[idx + 1] - _gauss_pieces(self._dsigma, r, knots[idx + 1])
+
+    def calabi(self) -> float:
+        """CAL = int 2 pi r sigma dr = -(pi/2) int r^4 rho'(r) dr (by parts), exactly."""
+        knots = self.profile.knots
+        pieces = _gauss_pieces(lambda r: r ** 4 * self.profile.derivative(r),
+                               knots[:-1], knots[1:])
+        return float(-0.5 * math.pi * np.sum(pieces))
 
     def evaluate(self, z):
         r = np.abs(z)
@@ -238,18 +286,21 @@ class HamiltonianStep:
         return _terms_value(self.terms, z)
 
     def _flow(self, z0: np.ndarray, with_jac: bool):
-        """Integrate points (and variational 2x2 blocks) as one stacked system."""
-        from scipy.integrate import DOP853
+        """Integrate points with their variational 2x2 blocks, or with their action.
 
+        Returns (phi(z0), D phi(z0)) when with_jac, else (phi(z0), sigma(z0))
+        with sigma' = H + lam0(X_H) = H - (x H_x + y H_y) / 2 along the flow.
+        """
         n = z0.size
         if with_jac:
-            y0 = np.concatenate([np.real(z0), np.imag(z0),
-                                 np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)])
+            extra = [np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)]
         else:
-            y0 = np.concatenate([np.real(z0), np.imag(z0)])
+            extra = [np.zeros(n)]
+        y0 = np.concatenate([np.real(z0), np.imag(z0), *extra])
 
         def rhs(t, y):
-            z = y[:n] + 1j * y[n:2 * n]
+            x, yy = y[:n], y[n:2 * n]
+            z = x + 1j * yy
             g = _terms_gradient(self.terms, z)
             out = np.empty_like(y)
             out[:n] = np.imag(g)        # x' = H_y
@@ -263,24 +314,15 @@ class HamiltonianStep:
                 out[3 * n:4 * n] = hxy * j01 + hyy * j11
                 out[4 * n:5 * n] = -hxx * j00 - hxy * j10
                 out[5 * n:6 * n] = -hxx * j01 - hxy * j11
+            else:
+                out[2 * n:] = (_terms_value(self.terms, z)
+                               - 0.5 * (x * np.real(g) + yy * np.imag(g)))
             return out
 
-        stepper = DOP853(rhs, 0.0, y0, t_bound=self.time,
-                         rtol=self.ode.tol, atol=self.ode.tol)
-        steps = 0
-        while stepper.status == "running":
-            msg = stepper.step()
-            steps += 1
-            if steps > self.ode.max_steps:
-                raise NonConvergenceError("Hamiltonian flow exceeded step budget")
-            if not np.all(np.isfinite(stepper.y)):
-                raise NonConvergenceError("Hamiltonian flow became non-finite")
-        if stepper.status == "failed":
-            raise NonConvergenceError(f"Hamiltonian flow failed: {msg}")
-        y = stepper.y
+        y = ode_flow(rhs, y0, self.time, self.ode).state
         z = y[:n] + 1j * y[n:2 * n]
         if not with_jac:
-            return z, None
+            return z, y[2 * n:]
         J = np.empty((n, 2, 2))
         J[:, 0, 0], J[:, 0, 1] = y[2 * n:3 * n], y[3 * n:4 * n]
         J[:, 1, 0], J[:, 1, 1] = y[4 * n:5 * n], y[5 * n:6 * n]
@@ -305,6 +347,18 @@ class HamiltonianStep:
         if shape:
             return w.reshape(shape), J.reshape(shape + (2, 2))
         return complex(w[0]), J[0]
+
+    def evaluate_with_action(self, z):
+        """(phi(z), sigma(z)) for lam0 from one point flow."""
+        z = np.asarray(z, dtype=complex)
+        w, sig = self._flow(z.ravel(), with_jac=False)
+        return w.reshape(z.shape), sig.reshape(z.shape)
+
+    def calabi(self) -> float:
+        """CAL = 2 t int H: every m >= 1 harmonic integrates to zero over a circle,
+        and an m = 0 term integrates to coef * pi a^2 / (power + 1)."""
+        return 2.0 * self.time * sum(t.coef * math.pi * t.support ** 2 / (t.power + 1)
+                                     for t in self.terms if t.m == 0)
 
     def rescaled(self, factor: float) -> "HamiltonianStep":
         return HamiltonianStep(tuple(t.rescaled(factor) for t in self.terms),
@@ -377,12 +431,6 @@ class DiskMap:
 
     def __call__(self, z):
         return self.evaluate(z)
-
-    def evaluate_xy(self, point):
-        """(x, y) -> (x, y), the array-of-two interface used by root finders."""
-        z = complex(point[0], point[1])
-        w = self.evaluate(z)
-        return np.array([w.real, w.imag])
 
     def differential(self, z):
         """Jacobian chain across the primitives (closed form / variational)."""
@@ -486,67 +534,33 @@ LAM0 = PrimitiveOneForm()
 class ActionField:
     """The compactly supported solution sigma of d(sigma) = phi*lam - lam.
 
-    Anchored to vanish on the identity annulus near |z| = radius.  For
-    purely radial maps sigma is radial and is reduced per knot interval
-    by exact Gauss quadrature; otherwise sigma(z) is a line integral of
-    phi*lam - lam along the ray from the boundary through z.
+    Anchored to vanish on the identity annulus near |z| = radius.  sigma
+    is the cocycle sum of the primitives' closed-form actions along the
+    composition (see the module docstring), plus u(phi z) - u(z) for
+    lam = lam0 + du; it runs no quadrature.  Twists move no points
+    unless a later Hamiltonian step or the du term needs them, so a
+    purely radial map is evaluated by radius alone.
+
+    The ray and arc line integrals of phi*lam - lam (`_sigma_path`,
+    `path_independence_check`) are the independent check of that sum.
+    `spec` is accepted for compatibility and unused.
     """
 
     def __init__(self, phi: DiskMap, lam: PrimitiveOneForm = LAM0,
                  spec: QuadratureSpec | None = None):
         self.map = phi
         self.lam = lam
-        self.spec = spec or QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
         self.anchor = "zero on the boundary identity annulus"
-        self._radial = phi.is_radial and not lam.u_terms
-        if self._radial:
-            prof = phi.combined_profile()
-            self._profile = prof
-            # sigma' = r^2 rho'(r) / 2: cumulative exact integrals, outside-in
-            knots = prof.knots
-            x5, w5 = _GAUSS5
-            pieces = np.zeros(knots.size - 1)
-            for i in range(knots.size - 1):
-                lo, hi = knots[i], knots[i + 1]
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                s = mid + half * x5
-                pieces[i] = half * np.sum(w5 * 0.5 * s * s * prof.derivative(s))
-            sig = np.zeros(knots.size)
-            sig[:-1] = -np.cumsum(pieces[::-1])[::-1]
-            self._sigma_knots = knots
-            self._sigma_values = sig
-
-    # -- radial kernel --------------------------------------------------
-
-    def _sigma_radial(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        knots, sig = self._sigma_knots, self._sigma_values
-        prof = self._profile
-        out = np.zeros_like(r)
-        inside = r < knots[-1]
-        if np.any(inside):
-            ri = np.clip(r[inside], knots[0], knots[-1])
-            idx = np.clip(np.searchsorted(knots, ri, side="right") - 1, 0, knots.size - 2)
-            hi = knots[idx + 1]
-            # sigma(r) = sigma(knot_right) - int_r^knot_right s^2 rho' / 2
-            x5, w5 = _GAUSS5
-            mid = 0.5 * (ri + hi)
-            half = 0.5 * (hi - ri)
-            s = mid[:, None] + half[:, None] * x5[None, :]
-            part = half * np.sum(w5[None, :] * 0.5 * s * s * prof.derivative(s), axis=1)
-            out[inside] = sig[idx + 1] - part
-        return out
 
     def radial_profile(self, r):
-        """sigma as a function of the radius (radial maps only)."""
-        if not self._radial:
+        """sigma as a function of the radius (radial maps under lam0 only)."""
+        if not self.map.is_radial or self.lam.u_terms:
             raise ValueError("map is not radial")
         r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        out = self._sigma_radial(np.atleast_1d(r))
-        return float(out[0]) if scalar else out
+        out = sum((p.action(r) for p in self.map.primitives), np.zeros(r.shape))
+        return float(out) if r.ndim == 0 else out
 
-    # -- general path integral -------------------------------------------
+    # -- independent check: line integrals of phi*lam - lam ------------------
 
     _H_MAX = 0.05  # widest Gauss panel along any integration path
 
@@ -559,83 +573,37 @@ class ActionField:
         Jv = (J @ vv[..., None])[..., 0]
         return self.lam.eval(w, Jv[..., 0] + 1j * Jv[..., 1]) - self.lam.eval(z, v)
 
-    def _start_radius(self, r: float) -> float:
-        R = self.map.radius
-        start = max(self.map.support, min(r, R))
-        if self.lam.u_terms:
-            start = max(start, max(t.support for t in self.lam.u_terms))
-        return min(start, R)
-
-    def _ray_sigma(self, r: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """sigma at the points r[i]*e[i]: -int_r^start (phi*lam - lam)(s e; e) ds.
-
-        Every ray is cut at the map/form breakpoints and tiled with short
-        Gauss panels; all nodes of all rays are evaluated in one stacked
-        pass so Hamiltonian primitives cost a single variational flow.
-        """
+    def _line_integral(self, curve, edges, speed: float) -> float:
+        """int (phi*lam - lam)(c(t); c'(t)) dt across the increasing or decreasing
+        parameter edges, in 15-point Gauss panels at most _H_MAX long."""
         x15, w15 = _GAUSS15
-        breaks = self._breaks()
-        pts, vecs, wts, ids = [], [], [], []
-        for i in range(r.size):
-            ri = float(r[i])
-            start = self._start_radius(ri)
-            if ri >= start:
-                continue
-            edges = [ri, start]
-            if breaks is not None:
-                edges.extend(b for b in breaks if ri < b < start)
-            edges = np.unique(np.asarray(edges, dtype=float))
-            fine = [edges[0]]
-            for k in range(edges.size - 1):
-                m = max(1, int(math.ceil((edges[k + 1] - edges[k]) / self._H_MAX)))
-                fine.extend(np.linspace(edges[k], edges[k + 1], m + 1)[1:].tolist())
-            fe = np.asarray(fine)
-            mid, half = 0.5 * (fe[1:] + fe[:-1]), 0.5 * (fe[1:] - fe[:-1])
-            s = (mid[:, None] + half[:, None] * x15[None, :]).ravel()
-            pts.append(s * e[i])
-            vecs.append(np.full(s.size, e[i]))
-            wts.append((half[:, None] * w15[None, :]).ravel())
-            ids.append(np.full(s.size, i, dtype=np.intp))
-        out = np.zeros(r.size)
-        if not pts:
-            return out
-        P, V = np.concatenate(pts), np.concatenate(vecs)
-        W, I = np.concatenate(wts), np.concatenate(ids)
-        vals = np.empty(P.size)
-        chunk = 200000  # bound the stacked variational system
-        for k in range(0, P.size, chunk):
-            vals[k:k + chunk] = self._pullback_minus(P[k:k + chunk], V[k:k + chunk])
-        # minus: the anchored integral runs from the boundary inward
-        return -np.bincount(I, weights=W * vals, minlength=r.size)
-
-    def _arc_integral(self, r: float, t0: float, t1: float) -> float:
-        if t0 == t1 or r == 0.0:
-            return 0.0
-        x15, w15 = _GAUSS15
-        n = max(2, int(math.ceil(abs(t1 - t0) * r / self._H_MAX)))
-        edges = np.linspace(t0, t1, n + 1)
-        mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        fine = [edges[0]]
+        for a, b in zip(edges[:-1], edges[1:]):
+            m = max(1, int(math.ceil(abs(b - a) * speed / self._H_MAX)))
+            fine.extend(np.linspace(a, b, m + 1)[1:].tolist())
+        fe = np.asarray(fine)
+        mid, half = 0.5 * (fe[1:] + fe[:-1]), 0.5 * (fe[1:] - fe[:-1])
         t = (mid[:, None] + half[:, None] * x15[None, :]).ravel()
         wq = (half[:, None] * w15[None, :]).ravel()  # signed via half
-        p = r * np.exp(1j * t)
-        return float(np.sum(wq * self._pullback_minus(p, 1j * p)))
+        p, v = curve(t)
+        return float(np.sum(wq * self._pullback_minus(p, v)))
 
     def _sigma_path(self, z: complex) -> float:
+        """sigma(z) = -int_|z|^start (phi*lam - lam)(s e; e) ds along the ray
+        through z, from the outermost support radius of the map and the form."""
         z = complex(z)
         r = abs(z)
         e = z / r if r > 0 else 1.0 + 0.0j
-        return float(self._ray_sigma(np.array([r]), np.array([e]))[0])
-
-    def _breaks(self):
-        pts = []
+        start = max([self.map.support, r] + [t.support for t in self.lam.u_terms])
+        start = min(start, self.map.radius)
+        if r >= start:
+            return 0.0
+        breaks = [t.support for t in self.lam.u_terms]
         for p in self.map.primitives:
-            if isinstance(p, RadialTwist):
-                pts.extend(p.profile.knots.tolist())
-            else:
-                pts.extend(t.support for t in p.terms)
-        for t in self.lam.u_terms:
-            pts.append(t.support)
-        return np.unique(np.asarray(pts)) if pts else None
+            breaks += (p.profile.knots.tolist() if isinstance(p, RadialTwist)
+                       else [t.support for t in p.terms])
+        edges = np.unique([r, start] + [b for b in breaks if r < b < start])[::-1]
+        return self._line_integral(lambda s: (s * e, np.full(s.shape, e)), edges, 1.0)
 
     # -- public ----------------------------------------------------------
 
@@ -643,26 +611,40 @@ class ActionField:
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z).ravel()
-        if self._radial:
-            out = self._sigma_radial(np.abs(zz))
-        else:
-            rr = np.abs(zz)
-            safe = np.where(rr == 0.0, 1.0, rr)
-            ee = np.where(rr == 0.0, 1.0 + 0.0j, zz / safe)
-            out = self._ray_sigma(rr, ee)
+        chain = self.map.primitives[::-1]  # in the order they act
+        # a twist keeps |z| and its action reads only |z|, so points move
+        # through the chain only as far as a Hamiltonian step or du reads them
+        moved = len(chain) if self.lam.u_terms else max(
+            (i for i, p in enumerate(chain) if isinstance(p, HamiltonianStep)), default=0)
+        cur = zz
+        out = np.zeros(zz.shape)
+        for i, p in enumerate(chain):
+            if isinstance(p, HamiltonianStep):
+                cur, sig = p.evaluate_with_action(cur)
+            else:
+                sig = p.action(cur)
+                if i < moved:
+                    cur = p.evaluate(cur)
+            out = out + sig
+        if self.lam.u_terms:
+            out = out + self.lam.u(cur) - self.lam.u(zz)
         out = out.reshape(np.shape(z))
         return float(out[()]) if scalar else out
 
     def path_independence_check(self, z: complex) -> float:
-        """Re-integrate along ray-then-arc and report the discrepancy."""
+        """|sigma(z) - (ray to |z| along the positive axis + arc to z)|.
+
+        The ray and arc integrate phi*lam - lam directly, so they share no
+        code with the closed-form sum behind sigma(z).
+        """
         direct = float(self(z))
         r = abs(z)
         if r == 0.0:
             return 0.0
         theta = math.atan2(z.imag, z.real)
-        ray = float(self._ray_sigma(np.array([r]), np.array([1.0 + 0.0j]))[0])
-        arc = self._arc_integral(r, 0.0, theta)
-        return abs(direct - (ray + arc))
+        arc = self._line_integral(lambda t: (r * np.exp(1j * t), 1j * r * np.exp(1j * t)),
+                                  np.array([0.0, theta]), r)
+        return abs(direct - (self._sigma_path(complex(r)) + arc))
 
 
 def action(phi: DiskMap, lam: PrimitiveOneForm = LAM0,
@@ -685,26 +667,14 @@ def compose_action(phi: DiskMap, psi: DiskMap, lam: PrimitiveOneForm = LAM0,
 
 def calabi(phi: DiskMap, lam: PrimitiveOneForm = LAM0,
            spec: QuadratureSpec | None = None) -> float:
-    """CAL(phi) = integral of the action over the disk.
+    """CAL(phi) = integral of the action over the disk, as a closed form.
 
-    Radial maps reduce to an exact per-interval Gauss sum of
-    2*pi*r*sigma(r); general maps go through the 2D quadrature.
+    CAL is a homomorphism, so it is the sum of the primitives' exact
+    invariants (`RadialTwist.calabi`, `HamiltonianStep.calabi`); no
+    quadrature runs.  CAL does not depend on the primitive 1-form, so
+    `lam` and `spec` are accepted for compatibility and unused.
     """
-    sig = action(phi, lam, spec)
-    if sig._radial:
-        prof = sig._profile
-        knots = prof.knots
-        x5, w5 = gauss_rule(6)
-        total = 0.0
-        for i in range(knots.size - 1):
-            lo, hi = knots[i], knots[i + 1]
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            s = mid + half * x5
-            total += half * np.sum(w5 * 2.0 * np.pi * s * sig._sigma_radial(s))
-        return float(total)
-    res = integrate_disk(lambda x, y: sig(np.asarray(x) + 1j * np.asarray(y)),
-                         phi.radius, spec or DEFAULT_QUAD)
-    return res.value
+    return float(sum(p.calabi() for p in phi.primitives))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class SingularJacobianError(NonConvergenceError):
-    """Newton hit a singular Jacobian away from a solution."""
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance contract for 1D/2D quadrature."""
@@ -412,8 +408,10 @@ def find_root_1d(fn, seed: float | None = None, spec: QuadratureSpec | None = No
                  bracket: tuple[float, float] | None = None) -> float:
     """Root of a scalar function, from a bracket or by expanding around a seed.
 
-    Verifies the residual before returning; reports failure rather than a
-    spurious root.
+    Verifies the residual before returning: |fn(root)| must be at most
+    max(abs_tol, rel_tol * max |fn| at the bracket ends, 1e-14), or
+    NonConvergenceError is raised rather than a spurious root (such as
+    the jump of a step function) returned.
     """
     spec = spec or DEFAULT_QUAD
     tol = max(spec.abs_tol, 1e-14)
@@ -438,52 +436,8 @@ def find_root_1d(fn, seed: float | None = None, spec: QuadratureSpec | None = No
             raise NonConvergenceError("no sign change found around seed", residual=abs(fa))
     root = brentq(fn, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16, maxiter=200)
     res = abs(fn(root))
-    if not np.isfinite(res):
-        raise NonConvergenceError("non-finite residual at root", residual=res)
+    scale = max(abs(fn(bracket[0])), abs(fn(bracket[1])))
+    if not res <= max(tol, spec.rel_tol * scale):
+        raise NonConvergenceError(f"residual {res:.3e} at the root misses its tolerance",
+                                  residual=res)
     return float(root)
-
-
-def _fd_jacobian(map_fn, z: np.ndarray, h: float) -> np.ndarray:
-    J = np.empty((2, 2))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        J[:, j] = (np.asarray(map_fn(z + e), float) - np.asarray(map_fn(z - e), float)) / (2.0 * h)
-    return J
-
-
-def find_fixed_point_2d(map_fn, seed, spec: QuadratureSpec | None = None,
-                        max_iter: int = 60) -> np.ndarray:
-    """Newton solve of map(z) = z with a finite-difference Jacobian."""
-    spec = spec or DEFAULT_QUAD
-    tol = max(spec.abs_tol, 1e-13)
-    z = np.asarray(seed, dtype=float).copy()
-    res_prev = np.inf
-    for _ in range(max_iter):
-        F = np.asarray(map_fn(z), float) - z
-        res = float(np.hypot(F[0], F[1]))
-        if res < tol:
-            return z
-        if not np.isfinite(res) or res > 1e6 * max(1.0, res_prev):
-            raise NonConvergenceError("Newton diverged", residual=res)
-        h = 1e-6 * max(1.0, float(np.max(np.abs(z))))
-        J = _fd_jacobian(map_fn, z, h) - np.eye(2)
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            raise SingularJacobianError("singular Jacobian in fixed-point Newton",
-                                        residual=res)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobianError("non-finite Newton step", residual=res)
-        # damped update: halve until the residual does not blow up
-        lam = 1.0
-        for _ in range(30):
-            z_new = z - lam * step
-            F_new = np.asarray(map_fn(z_new), float) - z_new
-            if np.hypot(F_new[0], F_new[1]) <= res * (1.0 + 1e-9) or lam < 1e-6:
-                break
-            lam *= 0.5
-        z = z - lam * step
-        res_prev = res
-    F = np.asarray(map_fn(z), float) - z
-    raise NonConvergenceError("Newton did not converge", residual=float(np.hypot(F[0], F[1])))

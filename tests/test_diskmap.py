@@ -16,7 +16,7 @@ from reebplug.diskmap import (
     periodic_points,
     rescale,
 )
-from reebplug.numerics import QuadratureSpec, RadialFunction
+from reebplug.numerics import QuadratureSpec, RadialFunction, integrate_disk
 
 # ---------------------------------------------------------------------------
 # Frozen oracles for the twist rho(r) = -c (1 - r^2)^3 on the unit disk.
@@ -271,3 +271,33 @@ def test_diskmap_roundtrip_dict():
     back = DiskMap.from_dict(phi.to_dict())
     z = 0.3 + 0.3j
     assert abs(back.evaluate(z) - phi.evaluate(z)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against checks that share no code with them: sigma against the
+# line integral of phi*lam - lam, CAL against the disk quadrature of sigma.
+# ---------------------------------------------------------------------------
+
+def twist_after_step():
+    twist = DiskMap(1.0, (RadialTwist(RadialFunction.bump(-1.0, 0.7, power=3, n_knots=65)),))
+    step = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "cos", 0.08, 0.7),), time=0.5),))
+    return compose(twist, step)
+
+
+def test_cocycle_sum_matches_line_integral():
+    lam = PrimitiveOneForm((BumpHarmonic(1, "sin", 0.1, 0.9),))
+    sig = action(twist_after_step(), lam)
+    for z in (0.15 + 0.1j, -0.3 + 0.35j, 0.05 - 0.6j, 0.72 + 0.2j):
+        assert sig.path_independence_check(z) < 1e-8
+
+
+@pytest.mark.parametrize("phi", [
+    DiskMap(1.0, (HamiltonianStep((BumpHarmonic(0, "cos", 0.1, 0.8),), time=0.5),)),
+    DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "sin", 0.08, 0.7),), time=0.7),)),
+    twist_after_step(),
+], ids=["m0", "m2", "twist_after_step"])
+def test_calabi_closed_form_matches_disk_quadrature(phi):
+    sig = action(phi)
+    quad = integrate_disk(lambda x, y: sig(np.asarray(x) + 1j * np.asarray(y)),
+                          phi.radius, QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10))
+    assert abs(calabi(phi) - quad.value) < 1e-9

@@ -8,7 +8,6 @@ from reebplug.numerics import (
     OdeSpec,
     QuadratureSpec,
     RadialFunction,
-    find_fixed_point_2d,
     find_root_1d,
     gauss_piecewise,
     integrate_1d,
@@ -209,16 +208,7 @@ def test_find_root_1d_failure_reported():
         find_root_1d(lambda x: 1.0 + x * x, seed=0.3)
 
 
-def test_find_fixed_point_2d_rotation():
-    # rotation by 2*pi/3 has a unique fixed point at the origin
-    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
-    R = np.array([[c, -s], [s, c]])
-    z = find_fixed_point_2d(lambda p: R @ p, np.array([0.3, 0.2]))
-    assert np.max(np.abs(z)) < 1e-10
-
-
-def test_find_fixed_point_2d_divergence_reported():
-    # map with no fixed point: translation
+def test_find_root_1d_rejects_jump_without_root():
+    # Brent converges onto the jump of a step function, where the residual is 1
     with pytest.raises(NonConvergenceError):
-        find_fixed_point_2d(lambda p: p + np.array([1.0, 0.0]), np.array([0.0, 0.0]),
-                            max_iter=10)
+        find_root_1d(lambda x: 1.0 if x > 0.5 else -1.0, bracket=(0.0, 1.0))
