@@ -86,11 +86,17 @@ def _load_json(path: str, required: tuple[str, ...],
     return data
 
 
-def _orbit_rows(records) -> str:
+def _orbit_csv(rows) -> str:
+    """The kind,r,p,q,T table that every orbit artifact writes."""
     lines = ["kind,r,p,q,T"]
-    for rec in records:
-        lines.append(f"{rec.kind},{rec.r!r},{rec.p},{rec.q},{rec.period!r}")
+    lines += [f"{kind},{r!r},{p},{q},{T!r}" for kind, r, p, q, T in rows]
     return "\n".join(lines) + "\n"
+
+
+def _map_orbit_row(orbit, T) -> tuple:
+    # a period-k point of a disk map closes after k turns of the fiber
+    kind = "fixed" if orbit.period == 1 else f"cycle-{orbit.period}"
+    return kind, abs(orbit.point), 0, orbit.period, T
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +111,7 @@ def _profile_artifacts(curve: ProfileCurve, args, with_curve: bool) -> int:
     tau = None
     if report.passed:
         tau, tau_rep = tau_profile(curve, n_grid=args.grid)
-        tau_dict = {"passed": tau_rep.passed,
-                    "monotone_margin": tau_rep.monotone_margin,
-                    "min_value": tau_rep.min_value,
-                    "max_value": tau_rep.max_value,
-                    "sup_deviation": tau_rep.sup_deviation,
-                    "deviation_bound": tau_rep.deviation_bound}
+        tau_dict = tau_rep.to_dict()
     if with_curve and "json" in kinds:
         _write_json(out / "curve.json", curve.to_dict())
     if "json" in kinds:
@@ -199,7 +200,8 @@ def _cmd_rotorus_orbits(args) -> int:
     out = _out_dir(args)
     kinds = _formats(args)
     if "csv" in kinds:
-        _write_text(out / "orbits.csv", _orbit_rows(records))
+        _write_text(out / "orbits.csv", _orbit_csv(
+            (r.kind, r.r, r.p, r.q, r.period) for r in records))
     if "json" in kinds:
         _write_json(out / "orbits.json", {
             "records": [{"kind": r.kind, "r": r.r, "p": r.p, "q": r.q,
@@ -283,19 +285,13 @@ def _cmd_disk_cal(args) -> int:
 
 def _cmd_disk_periodic(args) -> int:
     phi = _load_map(args.map)
-    orbs = periodic_points(phi, args.kmax)
-    rows = []
-    for o in orbs:
-        kind = "fixed" if o.period == 1 else f"cycle-{o.period}"
-        # T is the suspension period at unit fiber: k + action along orbit
-        rows.append((kind, abs(o.point), 0, o.period,
-                     o.period + o.action_sum))
+    # T is the suspension period at unit fiber: k + action along orbit
+    rows = [_map_orbit_row(o, o.period + o.action_sum)
+            for o in periodic_points(phi, args.kmax)]
     out = _out_dir(args)
     kinds = _formats(args)
     if "csv" in kinds:
-        lines = ["kind,r,p,q,T"]
-        lines += [f"{k},{r!r},{p},{q},{T!r}" for k, r, p, q, T in rows]
-        _write_text(out / "periodic.csv", "\n".join(lines) + "\n")
+        _write_text(out / "periodic.csv", _orbit_csv(rows))
     if "json" in kinds:
         _write_json(out / "periodic.json", {
             "orbits": [{"kind": k, "r": r, "p": p, "q": q, "T": T}
@@ -356,11 +352,8 @@ def _cmd_plug_verify_b(args) -> int:
 def _cmd_plug_orbits(args) -> int:
     plug = _load_plug(args.plug)
     found = orbit_periods(plug, args.kmax)
-    lines = ["kind,r,p,q,T"]
-    for orb, T in found:
-        kind = "fixed" if orb.period == 1 else f"cycle-{orb.period}"
-        lines.append(f"{kind},{abs(orb.point)!r},0,{orb.period},{T!r}")
-    _write_text(_out_dir(args) / "plug_orbits.csv", "\n".join(lines) + "\n")
+    _write_text(_out_dir(args) / "plug_orbits.csv",
+                _orbit_csv(_map_orbit_row(orb, T) for orb, T in found))
     print(f"plug: {len(found)} orbits up to k = {args.kmax}")
     return 0
 

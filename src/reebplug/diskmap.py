@@ -203,6 +203,11 @@ class RadialTwist:
     def __post_init__(self):
         if self.profile.parity != "even":
             raise ValueError("twist profile must have even parity")
+        # past its support the twist rotates by the last value, which must be
+        # a whole number of turns for the map to be the identity there
+        end = float(self.profile.values[-1])
+        if abs(end - 2.0 * math.pi * round(end / (2.0 * math.pi))) > 1e-12:
+            raise ValueError(f"twist profile ends at {end!r}, not in 2 pi Z")
         # sigma at the knots, summed outside-in from sigma(support) = 0
         knots = self.profile.knots
         pieces = _gauss_pieces(self._dsigma, knots[:-1], knots[1:])
@@ -446,12 +451,6 @@ class DiskMap:
             J = Jp @ J
         return cur, J
 
-    def iterate(self, z, k: int):
-        out = np.asarray(z, dtype=complex)
-        for _ in range(k):
-            out = self.evaluate(out)
-        return out
-
     def iterate_differential(self, z, k: int):
         """(phi^k(z), D(phi^k)(z)) via the chain rule along the orbit."""
         cur = np.asarray(z, dtype=complex)
@@ -690,85 +689,70 @@ class PeriodicOrbit:
     residual: float
 
 
-def _orbit_of(phi: DiskMap, z: complex, k: int) -> tuple[complex, ...]:
-    pts = [z]
-    for _ in range(k - 1):
-        pts.append(complex(phi.evaluate(pts[-1])))
-    return tuple(pts)
-
-
-def _same_orbit(a: tuple[complex, ...], b: tuple[complex, ...], tol: float) -> bool:
-    if len(a) != len(b):
-        return False
-    for pa in a:
-        if min(abs(pa - pb) for pb in b) > tol:
-            return False
-    return True
-
-
 def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
                     accept_tol: float = 1e-9, dedup_tol: float = 1e-6) -> list[PeriodicOrbit]:
     """Polar-grid seeded Newton search for periodic points of period <= k_max.
 
-    Newton runs on phi^k - id with the chained variational Jacobian
-    (pseudo-inverse step, so circle continua of periodic points are
-    handled).  Minimality is checked against proper divisors of k;
-    results are deduplicated by orbit.  Action sums use lam0.
+    The seeds are the origin, then n_r radii up to R (1 - 1e-9) times
+    n_theta angles, radius-major.  For each k, Newton on phi^k - id runs
+    on all seeds at once with the chained variational Jacobian and a
+    pseudo-inverse step (so circle continua of periodic points are
+    handled), for at most 40 sweeps.  With scale = max(1, R), a seed
+    stops and keeps its last iterate once |phi^k(z) - z| < 1e-12 scale,
+    once its step is not finite, or when the step would leave
+    |z| <= R (1 + 1e-9).
+
+    Each seed's orbit z, phi(z), ..., phi^k(z) is then computed once and
+    decides everything else.  One rule accepts a seed:
+    |phi^k(z) - z| < accept_tol scale.  It is not minimal when
+    |phi^j(z) - z| < 1e-8 scale for a proper divisor j of k.  A
+    candidate repeats a kept orbit when each of its points lies within
+    dedup_tol of a point of that orbit.  Candidates are taken in seed
+    order, so the first seed of an orbit wins, and the results come for
+    k ascending, in seed order within each k.  Action sums use lam0.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     R = phi.radius
+    scale = max(1.0, R)
     sig = action(phi)
     radii = np.linspace(R / n_r, R * (1.0 - 1e-9), n_r)
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-    seeds = [0.0 + 0.0j]
-    for r in radii:
-        for t in thetas:
-            seeds.append(r * np.exp(1j * t))
+    seeds = np.concatenate([[0.0 + 0.0j], (radii[:, None] * np.exp(1j * thetas)).ravel()])
     found: list[PeriodicOrbit] = []
-    scale = max(1.0, R)
     for k in range(1, k_max + 1):
-        divisors = [j for j in range(1, k) if k % j == 0]
-        k_found: list[PeriodicOrbit] = []
-        for z0 in seeds:
-            z = complex(z0)
-            ok = False
-            for _ in range(40):
-                zk, J = phi.iterate_differential(z, k)
-                F = np.array([zk.real - z.real, zk.imag - z.imag])
-                res = float(np.hypot(F[0], F[1]))
-                if res < 1e-12 * scale:
-                    ok = True
-                    break
-                A = J - np.eye(2)
-                step, *_ = np.linalg.lstsq(A, F, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                nz = z - complex(step[0], step[1])
-                if abs(nz) > R * (1.0 + 1e-9):
-                    break  # left the disk: discard seed
-                z = nz
-            else:
-                zk, _ = phi.iterate_differential(z, k)
-                res = abs(zk - z)
-                ok = res < accept_tol * scale
-            if not ok:
-                zk = phi.iterate(z, k)
-                if abs(zk - z) >= accept_tol * scale:
-                    continue  # Newton divergence: seed discarded, not reported
-            # minimality against proper divisors
-            minimal = True
-            for j in divisors:
-                if abs(phi.iterate(z, j) - z) < 1e-8 * scale:
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-            orbit = _orbit_of(phi, z, k)
-            if any(_same_orbit(orbit, o.orbit, dedup_tol) for o in k_found):
-                continue
-            act = float(np.sum(sig(np.array(orbit))))
-            zk = phi.iterate(z, k)
-            k_found.append(PeriodicOrbit(z, k, act, orbit, abs(zk - z)))
-        found.extend(k_found)
+        z = seeds.copy()
+        live = np.arange(z.size)
+        for _ in range(40):
+            if live.size == 0:
+                break
+            zl = z[live]
+            zk, J = phi.iterate_differential(zl, k)
+            F = zk - zl
+            step = np.linalg.pinv(J - np.eye(2), rtol=None) @ np.stack(
+                [F.real, F.imag], axis=-1)[..., None]
+            nz = zl - (step[:, 0, 0] + 1j * step[:, 1, 0])
+            moves = ((np.abs(F) >= 1e-12 * scale) & np.isfinite(nz)
+                     & (np.abs(nz) <= R * (1.0 + 1e-9)))
+            live = live[moves]
+            z[live] = nz[moves]
+        orbit = [z]
+        for _ in range(k):
+            orbit.append(phi.evaluate(orbit[-1]))
+        orbit = np.stack(orbit, axis=1)  # orbit[i, j] = phi^j(seed i's z)
+        gap = np.abs(orbit - z[:, None])
+        ok = gap[:, k] < accept_tol * scale
+        for j in range(1, k):
+            if k % j == 0:
+                ok &= gap[:, j] >= 1e-8 * scale
+        pts = orbit[:, :k]
+        kept: list[int] = []
+        for i in np.flatnonzero(ok):
+            # |candidate point - kept point| over (kept orbit, point, point)
+            d = np.abs(pts[i][None, :, None] - pts[kept][:, None, :])
+            if not np.any(np.all(d.min(axis=2) <= dedup_tol, axis=1)):
+                kept.append(i)
+        acts = np.sum(sig(pts[kept]), axis=1)
+        found.extend(PeriodicOrbit(complex(pts[i, 0]), k, float(a), tuple(pts[i].tolist()),
+                                   float(gap[i, k])) for i, a in zip(kept, acts))
     return found

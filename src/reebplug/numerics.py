@@ -381,7 +381,7 @@ def ode_flow(field, start, time: float, spec: OdeSpec | None = None) -> OdeResul
     """Flow `start` for `time` along field(t, y); counts steps, detects NaN."""
     spec = spec or DEFAULT_ODE
     y0 = np.asarray(start, dtype=float)
-    if time == 0.0:
+    if time == 0.0 or y0.size == 0:
         return OdeResult(y0.copy(), 0.0, 0)
     stepper = DOP853(field, 0.0, y0, t_bound=float(time),
                      rtol=spec.tol, atol=spec.tol, max_step=spec.max_step)

@@ -1,12 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+from reebplug.cli import main
 from reebplug.diskmap import (
     LAM0,
     ActionField,
     BumpHarmonic,
     DiskMap,
     HamiltonianStep,
+    PeriodicOrbit,
     PrimitiveOneForm,
     RadialTwist,
     action,
@@ -237,6 +241,147 @@ def test_periodic_points_no_interior_resonance():
     interior = [o for o in orbits if abs(o.point) < 0.995]
     assert len(interior) == 1
     assert interior[0].period == 1 and abs(interior[0].point) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The seed-by-seed Newton search that the array-wide periodic_points
+# replaced, kept as its reference.
+# ---------------------------------------------------------------------------
+
+def _iterate(phi, z, k):
+    out = np.asarray(z, dtype=complex)
+    for _ in range(k):
+        out = phi.evaluate(out)
+    return out
+
+
+def _orbit_of(phi, z, k):
+    pts = [z]
+    for _ in range(k - 1):
+        pts.append(complex(phi.evaluate(pts[-1])))
+    return tuple(pts)
+
+
+def _same_orbit(a, b, tol):
+    if len(a) != len(b):
+        return False
+    for pa in a:
+        if min(abs(pa - pb) for pb in b) > tol:
+            return False
+    return True
+
+
+def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
+                                  accept_tol=1e-9, dedup_tol=1e-6):
+    R = phi.radius
+    sig = action(phi)
+    radii = np.linspace(R / n_r, R * (1.0 - 1e-9), n_r)
+    thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
+    seeds = [0.0 + 0.0j]
+    for r in radii:
+        for t in thetas:
+            seeds.append(r * np.exp(1j * t))
+    found = []
+    scale = max(1.0, R)
+    for k in range(1, k_max + 1):
+        divisors = [j for j in range(1, k) if k % j == 0]
+        k_found = []
+        for z0 in seeds:
+            z = complex(z0)
+            ok = False
+            for _ in range(40):
+                zk, J = phi.iterate_differential(z, k)
+                F = np.array([zk.real - z.real, zk.imag - z.imag])
+                res = float(np.hypot(F[0], F[1]))
+                if res < 1e-12 * scale:
+                    ok = True
+                    break
+                A = J - np.eye(2)
+                step, *_ = np.linalg.lstsq(A, F, rcond=None)
+                if not np.all(np.isfinite(step)):
+                    break
+                nz = z - complex(step[0], step[1])
+                if abs(nz) > R * (1.0 + 1e-9):
+                    break
+                z = nz
+            else:
+                zk, _ = phi.iterate_differential(z, k)
+                res = abs(zk - z)
+                ok = res < accept_tol * scale
+            if not ok:
+                zk = _iterate(phi, z, k)
+                if abs(zk - z) >= accept_tol * scale:
+                    continue
+            minimal = True
+            for j in divisors:
+                if abs(_iterate(phi, z, j) - z) < 1e-8 * scale:
+                    minimal = False
+                    break
+            if not minimal:
+                continue
+            orbit = _orbit_of(phi, z, k)
+            if any(_same_orbit(orbit, o.orbit, dedup_tol) for o in k_found):
+                continue
+            act = float(np.sum(sig(np.array(orbit))))
+            zk = _iterate(phi, z, k)
+            k_found.append(PeriodicOrbit(z, k, act, orbit, abs(zk - z)))
+        found.extend(k_found)
+    return found
+
+
+def m2_step():
+    return DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.7),)),))
+
+
+def twist_after_m3_step():
+    # no symmetry gives the points of its period-2 orbits equal actions,
+    # so its action sums read every point of the orbit
+    step = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(3, "sin", 0.05, 0.7),)),))
+    return compose(DiskMap(1.0, (RadialTwist(RadialFunction.bump(4.0, 0.8)),)), step)
+
+
+@pytest.mark.parametrize("phi, k_max, n_r, n_theta", [
+    (DiskMap(1.0, ()), 3, 6, 6),
+    (DiskMap(1.0, (RadialTwist(RadialFunction.bump(4.0, 0.8)),)), 2, 12, 8),
+    (DiskMap(1.0, (RadialTwist(RadialFunction.bump(-7.0, 1.0)),)), 1, 12, 8),
+    (cubed_twist(3.0, n_knots=513), 3, 12, 6),
+    (m2_step(), 1, 6, 6),
+    (m2_step(), 2, 4, 4),
+    (twist_after_m3_step(), 2, 4, 4),
+], ids=["identity_k3", "positive_twist_k2", "negative_twist_k1", "cubed_twist_k3",
+        "m2_step_k1", "m2_step_k2", "twist_after_m3_step_k2"])
+def test_periodic_points_matches_seed_by_seed(phi, k_max, n_r, n_theta):
+    new = periodic_points(phi, k_max, n_r=n_r, n_theta=n_theta)
+    ref = _seed_by_seed_periodic_points(phi, k_max, n_r=n_r, n_theta=n_theta)
+    assert [o.period for o in new] == [o.period for o in ref]
+    for a, b in zip(new, ref):
+        assert abs(abs(a.point) - abs(b.point)) < 1e-7
+        assert abs(a.action_sum - b.action_sum) < 1e-9
+        assert a.residual < 1e-9
+
+
+def test_hamiltonian_map_on_no_points():
+    phi = m2_step()
+    none = np.array([], dtype=complex)
+    assert phi.evaluate(none).shape == (0,)
+    assert action(phi)(none).shape == (0,)
+    w, J = phi.evaluate_with_differential(none)
+    assert w.shape == (0,) and J.shape == (0, 2, 2)
+
+
+def test_twist_must_end_in_whole_turns(tmp_path):
+    # past its support a twist rotates by the profile's last value
+    knots = np.array([0.0, 0.5])
+    with pytest.raises(ValueError, match="2 pi Z"):
+        RadialTwist(RadialFunction(knots, np.array([1.0, 0.4]), np.zeros(2), parity="even"))
+    turn = RadialTwist(RadialFunction(knots, np.array([7.0, 2.0 * np.pi]), np.zeros(2),
+                                      parity="even"))
+    assert abs(DiskMap(1.0, (turn,)).evaluate(0.9 + 0.0j) - 0.9) < 1e-12
+    bad = {"radius": 1.0, "primitives": [{"kind": "radial_twist", "profile": {
+        "knots": [0.0, 0.5], "values": [1.0, 0.4], "derivs": [0.0, 0.0], "parity": "even"}}]}
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(bad))
+    assert main(["disk", "periodic", str(mp), "--kmax", "1", "--out", str(tmp_path)]) == 2
 
 
 def test_twist_differential_matches_fd():
