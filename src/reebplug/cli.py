@@ -106,19 +106,18 @@ def _map_orbit_row(orbit, T) -> tuple:
 def _profile_artifacts(curve: ProfileCurve, args, with_curve: bool) -> int:
     out = _out_dir(args)
     kinds = _formats(args)
-    report = verify_profile(curve, n_grid=args.grid)
+    report = verify_profile(curve)
     tau_dict = None
     tau = None
     if report.passed:
-        tau, tau_rep = tau_profile(curve, n_grid=args.grid)
+        tau, tau_rep = tau_profile(curve)
         tau_dict = tau_rep.to_dict()
     if with_curve and "json" in kinds:
         _write_json(out / "curve.json", curve.to_dict())
     if "json" in kinds:
         _write_json(out / "profile_report.json",
                     {"profile": report.to_dict(), "tau": tau_dict,
-                     "context": {"n_grid": args.grid,
-                                 "params": curve.params.to_dict()}})
+                     "context": {"params": curve.params.to_dict()}})
     if "svg" in kinds:
         _write_text(out / "profile_arc.svg", profile_plot(curve))
         if tau is not None:
@@ -171,7 +170,7 @@ def _cmd_rotorus_analyze(args) -> int:
                               "shift_at_0": float(sys_.shift(0.0))}
         except SectionError as exc:
             sections[name] = {"available": False, "reason": str(exc)}
-    est = tmin(form, t_max=args.tmax, q_max=args.qmax, n_grid=args.grid)
+    est = tmin(form, t_max=args.tmax, q_max=args.qmax)
     triple = volume(form)
     _write_json(_out_dir(args) / "analysis.json", {
         "contact_margin": margin,
@@ -182,8 +181,7 @@ def _cmd_rotorus_analyze(args) -> int:
                    "section": triple.section,
                    "quadrature": triple.quadrature,
                    "spread": triple.spread},
-        "context": {"t_max": args.tmax, "q_max": args.qmax,
-                    "n_grid": args.grid}})
+        "context": {"t_max": args.tmax, "q_max": args.qmax}})
     print(f"rotorus: contact margin {margin:.9g}, "
           f"t_min {est.value:.9g} ({est.kind}), "
           f"volume {triple.value:.9g} (spread {triple.spread:.3e})")
@@ -195,8 +193,7 @@ def _cmd_rotorus_analyze(args) -> int:
 
 def _cmd_rotorus_orbits(args) -> int:
     form = _load_form(args.form)
-    records = orbit_enumerate(form, t_max=args.tmax, q_max=args.qmax,
-                              n_grid=args.grid)
+    records = orbit_enumerate(form, t_max=args.tmax, q_max=args.qmax)
     out = _out_dir(args)
     kinds = _formats(args)
     if "csv" in kinds:
@@ -207,8 +204,7 @@ def _cmd_rotorus_orbits(args) -> int:
             "records": [{"kind": r.kind, "r": r.r, "p": r.p, "q": r.q,
                          "T": r.period, "r_lo": r.r_lo, "r_hi": r.r_hi,
                          "residual": r.residual} for r in records],
-            "context": {"t_max": args.tmax, "q_max": args.qmax,
-                        "n_grid": args.grid}})
+            "context": {"t_max": args.tmax, "q_max": args.qmax}})
     if "svg" in kinds and records:
         _write_text(out / "orbits.svg", orbit_plot(records))
     print(f"rotorus: {len(records)} orbit families below T = {args.tmax:g}")
@@ -485,12 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = prof.add_parser("design", help="design a curve from parameters")
     for name in ("s", "delta", "rho", "r0", "r1"):
         p.add_argument(f"--{name}", type=float, required=True)
-    p.add_argument("--grid", type=int, default=10000)
     _io_flags(p)
     p.set_defaults(func=_cmd_profile_design)
     p = prof.add_parser("verify", help="verify a curve file")
     p.add_argument("curve")
-    p.add_argument("--grid", type=int, default=10000)
     _io_flags(p)
     p.set_defaults(func=_cmd_profile_verify)
 
@@ -500,14 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form")
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--qmax", type=int, default=8)
-    p.add_argument("--grid", type=int, default=10000)
     _io_flags(p)
     p.set_defaults(func=_cmd_rotorus_analyze)
     p = rot.add_parser("orbits", help="enumerate closed-orbit families")
     p.add_argument("form")
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--qmax", type=int, default=8)
-    p.add_argument("--grid", type=int, default=10000)
     _io_flags(p)
     p.set_defaults(func=_cmd_rotorus_orbits)
     p = rot.add_parser("volume", help="the volume three ways")

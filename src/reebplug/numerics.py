@@ -1,4 +1,5 @@
-"""Shared numerical kernels: radial Hermite functions, quadrature, ODE flows, root finding.
+"""Shared numerical kernels: radial Hermite functions, the piecewise-polynomial
+kernel that decides their signs, quadrature, ODE flows, root finding.
 
 Everything here is deterministic: fixed quadrature ladders, fixed step
 acceptance rules, no randomness.  The heavier lifting is delegated to
@@ -8,6 +9,8 @@ error estimates and explicit convergence flags.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -270,6 +273,514 @@ class RadialFunction:
     def from_dict(cls, d: dict) -> "RadialFunction":
         return cls(np.array(d["knots"], float), np.array(d["values"], float),
                    np.array(d["derivs"], float), d.get("parity", "none"))
+
+
+# ---------------------------------------------------------------------------
+# Piecewise polynomials with running error bounds
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -53            # unit roundoff of binary64
+_SAFE = 1.0 + 2.0 ** -20   # covers the rounding of the error bounds themselves
+_MAX_DEPTH = 40            # halvings before an undecided piece fails
+_ROOT_SLACK = 1e-12        # closed-form roots this far outside [0, 1] snap to the knot
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1.0 - n * _U)
+
+
+def _add(a, ea, b, eb):
+    c = a + b
+    return c, ea + eb + _U * np.abs(c)
+
+
+def _mul(a, ea, b, eb):
+    c = a * b
+    return c, np.abs(a) * eb + np.abs(b) * ea + ea * eb + _U * np.abs(c)
+
+
+def _div(a, ea, b, eb):
+    c = a / b
+    return c, (ea + np.abs(c) * eb) / (np.abs(b) - eb) + _U * np.abs(c)
+
+
+def _two_sum(a, b):
+    """a + b and the exact size of its rounding error (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, np.abs((a - (s - bb)) + (b - bb))
+
+
+def _pad(c: np.ndarray, n: int) -> np.ndarray:
+    if c.shape[1] == n:
+        return c
+    out = np.zeros((c.shape[0], n))
+    out[:, :c.shape[1]] = c
+    return out
+
+
+def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of ascending coefficient arrays."""
+    nb = b.shape[1]
+    out = np.zeros((a.shape[0], a.shape[1] + nb - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + nb] += a[:, i:i + 1] * b
+    return out
+
+
+def _horner(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row i of c evaluated at every entry of row i of t."""
+    acc = np.repeat(c[:, -1:], t.shape[1], axis=1)
+    for k in range(c.shape[1] - 2, -1, -1):
+        acc = acc * t + c[:, k:k + 1]
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def _bernstein_matrix(n: int) -> np.ndarray:
+    """w[i, j] = C(j, i) / C(n, i): power coefficient i to Bernstein coefficient j."""
+    return np.array([[math.comb(j, i) / math.comb(n, i) if i <= j else 0.0
+                      for j in range(n + 1)] for i in range(n + 1)])
+
+
+def _bernstein(c: np.ndarray, e: np.ndarray):
+    """Bernstein coefficients on [0, 1] of ascending power coefficients, with bounds."""
+    n = c.shape[1] - 1
+    w = _bernstein_matrix(n)
+    return c @ w, e @ w + _gamma(n + 2) * (np.abs(c) @ w)
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(n: int) -> np.ndarray:
+    return np.array([[math.comb(m, k) for m in range(n + 1)] for k in range(n + 1)], dtype=float)
+
+
+def _halves(b: np.ndarray, e: np.ndarray):
+    """de Casteljau at t = 1/2: the Bernstein coefficients of both halves, with bounds."""
+    left, right, eleft, eright = [b[:, 0]], [b[:, -1]], [e[:, 0]], [e[:, -1]]
+    for _ in range(b.shape[1] - 1):
+        b = 0.5 * (b[:, :-1] + b[:, 1:])
+        e = 0.5 * (e[:, :-1] + e[:, 1:]) + _U * np.abs(b)
+        left.append(b[:, 0])
+        right.append(b[:, -1])
+        eleft.append(e[:, 0])
+        eright.append(e[:, -1])
+    return (np.stack(left, 1), np.stack(eleft, 1),
+            np.stack(right[::-1], 1), np.stack(eright[::-1], 1))
+
+
+def _real_roots(c: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row (ascending coefficients), NaN-padded.
+
+    Rows are grouped by degree and solved as batched companion eigenvalues.
+    """
+    m, n1 = c.shape
+    out = np.full((m, max(n1 - 1, 1)), np.nan)
+    # leading coefficients at rounding level only add roots far outside
+    # [0, 1], but spoil the accuracy of the others
+    nz = np.abs(c) > 1e-10 * np.abs(c).max(axis=1, keepdims=True)
+    deg = np.where(nz.any(axis=1), n1 - 1 - np.argmax(nz[:, ::-1], axis=1), 0)
+    for d in np.unique(deg):
+        if d < 1:
+            continue
+        rows = deg == d
+        mon = c[rows, :d] / c[rows, d:d + 1]
+        comp = np.zeros((mon.shape[0], d, d))
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, :, -1] = -mon
+        out[rows, :d] = np.linalg.eigvals(comp).real
+    return out
+
+
+def _quadratic_roots(c: np.ndarray) -> np.ndarray:
+    """Real roots of c0 + c1 t + c2 t^2 per row, in closed form, NaN-padded (m, 2).
+
+    A discriminant within its own rounding of zero counts as a double root;
+    rows that vanish identically have none.
+    """
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    disc = c1 * c1 - 4.0 * c2 * c0
+    slack = 8.0 * _U * (c1 * c1 + 4.0 * np.abs(c2 * c0))
+    real = disc >= -slack
+    sq = np.sqrt(np.where(real, np.maximum(disc, 0.0), 0.0))
+    q = -0.5 * (c1 + np.where(c1 < 0.0, -sq, sq))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = np.stack([q / c2, c0 / q], axis=1)
+        lin = -c0 / c1
+    out = np.where((c2 != 0.0)[:, None], np.where(real[:, None], quad, np.nan),
+                   np.stack([lin, np.full_like(lin, np.nan)], axis=1))
+    return np.where(np.isfinite(out), out, np.nan)
+
+
+def _group_best(p, groups, t, vals, piece):
+    """Per group label: the smallest of vals (rows: pieces `piece` of p,
+    columns: local points t) and its radius; inf where a group is absent."""
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    col = np.argmin(vals, axis=1)
+    row_best = vals[np.arange(vals.shape[0]), col]
+    n = int(groups.max()) + 1 if groups.size else 0
+    best = np.full(n, np.inf)
+    np.minimum.at(best, groups, row_best)
+    r = np.full(n, np.nan)
+    hit = np.flatnonzero(row_best == best[groups])[::-1]
+    i = piece[hit]
+    r[groups[hit]] = p.lo[i] + t[hit, col[hit]] * (p.hi[i] - p.lo[i])
+    return best, r
+
+
+class PiecewisePoly:
+    """Polynomials on pieces of the radius, with rigorous error bounds.
+
+    Piece i covers [lo[i], hi[i]] and is sum_k coef[i, k] t^k in the
+    local variable t = (r - lo[i]) / (hi[i] - lo[i]).  err[i, k] bounds
+    the distance of coef[i, k] from the coefficient of the exact
+    function: the one the float input data define, read as exact reals
+    (the Hermite cubics of a RadialFunction's raw knots, values and
+    derivatives).  Every operation adds its propagated error plus
+    u |result| for its own rounding (running error analysis; Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), so a
+    coefficient computed from exact zeros stays an exact zero.
+
+    Pieces built from one RadialFunction are contiguous; `concat` joins
+    any pieces, so several conditions can be decided in one call.
+    `positive` and `failures` decide signs from Bernstein coefficients
+    with subdivision (Farouki and Rajan 1987); `extreme` and `roots`
+    locate values in floating point.
+    """
+
+    __slots__ = ("lo", "hi", "coef", "err")
+    __array_ufunc__ = None   # numpy scalars defer to the reflected operators
+
+    def __init__(self, lo, hi, coef, err):
+        self.lo = lo
+        self.hi = hi
+        self.coef = coef
+        self.err = err
+
+    # -- construction -------------------------------------------------
+
+    @classmethod
+    def from_radial(cls, *fns: RadialFunction, upto: float | None = None) -> "PiecewisePoly":
+        """The sum of RadialFunctions as Hermite cubics built from their raw data.
+
+        Functions on the first one's knots are summed in their data, each
+        sum's rounding error found exactly, so f + g keeps an exact zero
+        where the data cancel; others are added as polynomials.  `upto`
+        extends the last value flat beyond the last knot, as
+        RadialFunction does.
+        """
+        return cls.from_radials([fns], upto)
+
+    @classmethod
+    def from_radials(cls, sums, upto: float | None = None) -> "PiecewisePoly":
+        """One function per entry of `sums` (a tuple of RadialFunctions to
+        add, as in from_radial), their pieces concatenated in order."""
+        data = []
+        for fns in sums:
+            x, v, d = fns[0].knots, fns[0].values, fns[0].derivs
+            ev, ed, rest = np.zeros_like(v), np.zeros_like(d), []
+            for fn in fns[1:]:
+                if np.array_equal(fn.knots, x):
+                    v, e1 = _two_sum(v, fn.values)
+                    d, e2 = _two_sum(d, fn.derivs)
+                    ev, ed = ev + e1, ed + e2
+                else:
+                    rest.append(fn)
+            data.append((x, v, ev, d, ed, rest))
+        if (len({item[0].size for item in data}) == 1 and not any(item[5] for item in data)
+                and (upto is None or all(item[0][-1] >= upto for item in data))):
+            return cls._hermite(*(np.stack(cols) for cols in list(zip(*data))[:5]))
+        polys = []
+        for x, v, ev, d, ed, rest in data:
+            p = cls._hermite(x[None], v[None], ev[None], d[None], ed[None])
+            if upto is not None and upto > x[-1]:
+                p = cls.concat([p, cls(x[-1:], np.array([upto]), v[-1:, None], ev[-1:, None])])
+            for fn in rest:
+                p = p + cls.from_radial(fn, upto=upto)
+            polys.append(p)
+        return cls.concat(polys)
+
+    @classmethod
+    def _hermite(cls, x, v, ev, d, ed) -> "PiecewisePoly":
+        """Hermite cubics of rows of knot data (with data error bounds)."""
+        h, eh = _add(x[:, 1:], 0.0, -x[:, :-1], 0.0)
+        v0, v1, ev0, ev1 = v[:, :-1], v[:, 1:], ev[:, :-1], ev[:, 1:]
+        d0, d1, ed0, ed1 = d[:, :-1], d[:, 1:], ed[:, :-1], ed[:, 1:]
+        dv, edv = _add(v1, ev1, -v0, ev0)
+        a1, ea1 = _mul(h, eh, d0, ed0)
+        s2, es2 = _mul(h, eh, *_add(2.0 * d0, 2.0 * ed0, d1, ed1))
+        a2, ea2 = _add(*_mul(3.0, 0.0, dv, edv), -s2, es2)
+        s3, es3 = _mul(h, eh, *_add(d0, ed0, d1, ed1))
+        a3, ea3 = _add(*_mul(-2.0, 0.0, dv, edv), s3, es3)
+        return cls(x[:, :-1].ravel(), x[:, 1:].ravel(),
+                   np.stack([v0, a1, a2, a3], axis=-1).reshape(-1, 4),
+                   np.stack([ev0, ea1, ea2, ea3], axis=-1).reshape(-1, 4))
+
+    def radius(self) -> "PiecewisePoly":
+        """The radius r itself on the same pieces."""
+        h, eh = _add(self.hi, 0.0, -self.lo, 0.0)
+        return PiecewisePoly(self.lo, self.hi, np.stack([self.lo, h], axis=1),
+                             np.stack([np.zeros_like(h), eh], axis=1))
+
+    def constant(self, value: float) -> "PiecewisePoly":
+        """The exact constant `value` on the same pieces."""
+        n = self.lo.size
+        return PiecewisePoly(self.lo, self.hi, np.full((n, 1), float(value)), np.zeros((n, 1)))
+
+    @classmethod
+    def concat(cls, polys) -> "PiecewisePoly":
+        """All pieces of the given functions, in order."""
+        n = max(p.coef.shape[1] for p in polys)
+        return cls(np.concatenate([p.lo for p in polys]),
+                   np.concatenate([p.hi for p in polys]),
+                   np.concatenate([_pad(p.coef, n) for p in polys]),
+                   np.concatenate([_pad(p.err, n) for p in polys]))
+
+    # -- pieces -------------------------------------------------------
+
+    @property
+    def knots(self) -> np.ndarray:
+        """Breakpoints of a contiguous function."""
+        return np.append(self.lo, self.hi[-1])
+
+    def _cut(self, i, lo, hi) -> "PiecewisePoly":
+        """Pieces i re-expressed on the sub-intervals [lo, hi] of themselves."""
+        a, ea = self.coef[i], self.err[i]
+        h = self.hi[i] - self.lo[i]
+        alpha = (lo - self.lo[i]) / h
+        beta = (hi - lo) / h
+        same = (alpha == 0.0) & (beta == 1.0)
+        if same.all():
+            return PiecewisePoly(lo, hi, a, ea)
+        # piece on [lo, hi]: q(s) = p(alpha + beta s), so
+        # q_k = beta^k sum_{m >= k} C(m, k) alpha^(m-k) a_m; alpha and beta
+        # carry 3u relative error each, hence the (6n + 4)u term
+        n = a.shape[1] - 1
+        k, m = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        ap = alpha[:, None] ** np.arange(n + 1)
+        bp = beta[:, None] ** np.arange(n + 1)
+        T = _binomials(n) * ap[:, np.maximum(m - k, 0)] * bp[:, k]
+        q = np.einsum("jkm,jm->jk", T, a)
+        eq = (np.einsum("jkm,jm->jk", T, ea)
+              + (6 * n + 4) * _U * np.einsum("jkm,jm->jk", T, np.abs(a)))
+        return PiecewisePoly(lo, hi, np.where(same[:, None], a, q),
+                             np.where(same[:, None], ea, eq))
+
+    def refine(self, y) -> "PiecewisePoly":
+        """The same contiguous function on knots y, which contain every
+        knot inside [y[0], y[-1]]."""
+        x = self.knots
+        y = np.asarray(y, dtype=float)
+        i = np.clip(np.searchsorted(x, y[:-1], side="right") - 1, 0, x.size - 2)
+        return self._cut(i, y[:-1], y[1:])
+
+    def restrict(self, a: float, b: float) -> "PiecewisePoly":
+        """The pieces meeting [a, b], each cut to it."""
+        i = np.flatnonzero((self.lo < b) & (self.hi > a))
+        if i.size == 0:
+            raise ValueError(f"no piece meets [{a}, {b}]")
+        lo, hi = self.lo[i], self.hi[i]
+        if lo.min() >= a and hi.max() <= b:
+            return PiecewisePoly(lo, hi, self.coef[i], self.err[i])
+        return self._cut(i, np.maximum(lo, a), np.minimum(hi, b))
+
+    def _aligned(self, other: "PiecewisePoly"):
+        if (self.lo is other.lo or np.array_equal(self.lo, other.lo)) \
+                and (self.hi is other.hi or np.array_equal(self.hi, other.hi)):
+            return self, other
+        lo = max(self.lo[0], other.lo[0])
+        hi = min(self.hi[-1], other.hi[-1])
+        y = np.union1d(self.knots, other.knots)
+        y = y[(y >= lo) & (y <= hi)]
+        return self.refine(y), other.refine(y)
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __neg__(self) -> "PiecewisePoly":
+        return PiecewisePoly(self.lo, self.hi, -self.coef, self.err)
+
+    def __add__(self, other) -> "PiecewisePoly":
+        if not isinstance(other, PiecewisePoly):
+            c, e = self.coef.copy(), self.err.copy()
+            c[:, 0], e[:, 0] = _add(c[:, 0], e[:, 0], other, 0.0)
+            return PiecewisePoly(self.lo, self.hi, c, e)
+        p, q = self._aligned(other)
+        (a, ea), (b, eb) = (p.coef, p.err), (q.coef, q.err)
+        if a.shape[1] != b.shape[1]:
+            n = max(a.shape[1], b.shape[1])
+            a, ea, b, eb = _pad(a, n), _pad(ea, n), _pad(b, n), _pad(eb, n)
+        return PiecewisePoly(p.lo, p.hi, *_add(a, ea, b, eb))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "PiecewisePoly":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "PiecewisePoly":
+        return (-self) + other
+
+    def __mul__(self, other) -> "PiecewisePoly":
+        if not isinstance(other, PiecewisePoly):
+            c, e = _mul(self.coef, self.err, np.reshape(other, (-1, 1)), 0.0)
+            return PiecewisePoly(self.lo, self.hi, c, e)
+        p, q = self._aligned(other)
+        if p.coef.shape[1] > q.coef.shape[1]:
+            p, q = q, p
+        # the product, X = (|a| + ea) * (|b| + eb) and Y = |a| * |b|: the
+        # propagated error is X - Y, and 4 gamma X covers the rounding of
+        # the product and of computing X and Y
+        aa, bb = np.abs(p.coef), np.abs(q.coef)
+        x, y = _conv(aa + p.err, bb + q.err), _conv(aa, bb)
+        return PiecewisePoly(p.lo, p.hi, _conv(p.coef, q.coef),
+                             (x - y) + 4.0 * _gamma(aa.shape[1] + 2) * x)
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "PiecewisePoly":
+        """d/dr, piece by piece."""
+        h, eh = _add(self.hi, 0.0, -self.lo, 0.0)
+        k = np.arange(1, self.coef.shape[1], dtype=float)
+        c, e = _mul(self.coef[:, 1:], self.err[:, 1:], k, 0.0)
+        c, e = _div(c, e, h[:, None], eh[:, None])
+        return PiecewisePoly(self.lo, self.hi, c, e)
+
+    # -- decisions ----------------------------------------------------
+
+    def _core_factored(self, *others: "PiecewisePoly"):
+        """Divide each piece starting at r = 0 by t^z, z the number of
+        low-order coefficients that are exact zeros in all of the given
+        functions (a function vanishing identically there not counted)."""
+        polys = (self,) + others
+        core = np.flatnonzero(self.lo == 0.0)
+        if core.size == 0:
+            return polys
+        zs = []
+        for i in core:
+            z = []
+            for p in polys:
+                exact0 = (p.coef[i] == 0.0) & (p.err[i] == 0.0)
+                if not exact0.all():
+                    z.append(int(np.argmin(exact0)))
+            zs.append(min(z, default=0))
+        if not any(zs):
+            return polys
+        out = []
+        for p in polys:
+            c, e = p.coef.copy(), p.err.copy()
+            for i, z in zip(core, zs):
+                if z:
+                    c[i, :-z], c[i, -z:] = p.coef[i, z:], 0.0
+                    e[i, :-z], e[i, -z:] = p.err[i, z:], 0.0
+            out.append(PiecewisePoly(p.lo, p.hi, c, e))
+        return tuple(out)
+
+    def failures(self) -> np.ndarray:
+        """Decide, piece by piece, that the exact function is > 0.
+
+        NaN where it is; elsewhere a radius in the piece where it is not,
+        or where rounding still leaves the sign undecided after
+        _MAX_DEPTH halvings: an undecided piece fails, it never passes.
+        On pieces starting at r = 0, exactly-zero low-order coefficients
+        are factored out first, so W/r, -g' or the B4 numerator are
+        decided on (0, b] although parity makes them vanish at 0.
+        """
+        (p,) = self._core_factored()
+        B, E = _bernstein(p.coef, p.err)
+        out = np.full(B.shape[0], np.nan)
+        src, lo, w = np.arange(B.shape[0]), p.lo, p.hi - p.lo
+        for _ in range(_MAX_DEPTH):
+            tol = E * _SAFE
+            bad0 = B[:, 0] <= tol[:, 0]
+            bad = bad0 | (B[:, -1] <= tol[:, -1])
+            if bad.any():
+                # an end value that is not certainly positive stays so in
+                # every subdivision; the first such sub-piece is reported
+                out[src[bad][::-1]] = np.where(bad0, lo, lo + w)[bad][::-1]
+            live = ~np.all(B > tol, axis=1) & np.isnan(out[src])
+            if not live.any():
+                return out
+            bl, el, br, er = _halves(B[live], E[live])
+            B, E = np.concatenate([bl, br]), np.concatenate([el, er])
+            src, lo, w = src[live], lo[live], 0.5 * w[live]
+            src, lo, w = np.tile(src, 2), np.concatenate([lo, lo + w]), np.tile(w, 2)
+        undecided = np.isnan(out[src])
+        out[src[undecided][::-1]] = (lo + 0.5 * w)[undecided][::-1]
+        return out
+
+    def positive(self) -> float | None:
+        """None when the exact function is decided > 0 on every piece, else
+        a radius where it is not or stays undecided (see `failures`)."""
+        bad = self.failures()
+        hit = ~np.isnan(bad)
+        return float(bad[np.argmax(hit)]) if hit.any() else None
+
+    def extreme(self, den: "PiecewisePoly | None" = None,
+                largest: bool = False) -> tuple[float, float]:
+        """(value, r) of the minimum (largest: maximum) over all pieces of
+        this function, or of its ratio to den > 0 (see `extremes`)."""
+        values, r = self.extremes(np.zeros(self.lo.size, dtype=int), den, largest)
+        return float(values[0]), float(r[0])
+
+    def extremes(self, groups: np.ndarray, den: "PiecewisePoly | None" = None,
+                 largest: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(values, r): per group label 0, 1, ... of the pieces, the minimum
+        (largest: maximum) of this function, or of its ratio to den > 0.
+
+        Starts from each group's best piece-end value m, drops every piece
+        on which the Bernstein coefficients of P - m den show that it
+        cannot beat m beyond rounding, and evaluates the rest at the real
+        roots of P' den - P den' (batched companion eigenvalues).  At r = 0
+        the ratio takes its limit, common exact zeros factored out.
+        """
+        P = -self if largest else self
+        if den is None:
+            Q = P.constant(1.0)
+        else:
+            P, Q = P._aligned(den)
+        P, Q = P._core_factored(Q)
+        pc, qc = P.coef, Q.coef
+        n = pc.shape[0]
+        groups = np.asarray(groups)
+        t = np.repeat([[0.0, 1.0]], n, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.stack([pc[:, 0] / qc[:, 0], pc.sum(1) / qc.sum(1)], axis=1)
+        m, r_m = _group_best(P, groups, t, vals, np.arange(n))
+        with np.errstate(invalid="ignore"):
+            # a group already at -inf keeps nothing (NaN compares false)
+            D = P - Q * m[groups]
+            B, E = _bernstein(D.coef, D.err)
+            keep = np.flatnonzero(np.any(B + E * _SAFE < 0.0, axis=1))
+        if keep.size:
+            pk, qk = pc[keep], qc[keep]
+            dp = pk[:, 1:] * np.arange(1, pk.shape[1])
+            dq = qk[:, 1:] * np.arange(1, qk.shape[1])
+            crit = _conv(dp, qk) - _conv(pk, dq) if dq.shape[1] else dp
+            t = np.clip(np.nan_to_num(_real_roots(crit), nan=0.0), 0.0, 1.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = _horner(pk, t) / _horner(qk, t)
+            mk, rk = _group_best(P, groups[keep], t, vals, keep)
+            better = np.flatnonzero(np.isfinite(mk) & (mk < m[: mk.size]))
+            m[better], r_m[better] = mk[better], rk[better]
+        return (-m if largest else m), r_m
+
+    def roots(self) -> np.ndarray:
+        """Sorted real roots of a contiguous function of degree <= 2.
+
+        Closed form per piece; a root on a shared knot is reported once,
+        and pieces that vanish identically contribute none.  As in
+        `failures`, exact zeros at r = 0 are factored out first, so a
+        root that parity forces at the core is not reported.
+        """
+        (p,) = self._core_factored()
+        c = _pad(p.coef, 3)
+        if np.any(c[:, 3:]):
+            raise ValueError("closed-form roots need degree <= 2")
+        t = _quadratic_roots(c[:, :3])
+        ok = (t >= -_ROOT_SLACK) & (t <= 1.0 + _ROOT_SLACK)
+        r = self.lo[:, None] + np.clip(t, 0.0, 1.0) * (self.hi - self.lo)[:, None]
+        r = np.sort(r[ok])
+        gap = _ROOT_SLACK * max(1.0, abs(self.hi[-1]))
+        return r[np.concatenate([[True], np.diff(r) > gap])] if r.size > 1 else r
 
 
 def gauss_rule(n: int):

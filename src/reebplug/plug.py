@@ -22,11 +22,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .diskmap import (ActionField, DiskMap, PeriodicOrbit, RadialTwist,
                       action, calabi, periodic_points, rescale)
-from .numerics import RadialFunction, gauss_piecewise, integrate_disk
+from .numerics import PiecewisePoly, RadialFunction, gauss_piecewise, integrate_disk
 from .rotorus import RotForm, contact_check
 
 B3_TOL = 1e-12
@@ -79,26 +78,30 @@ class PlugSystem:
         return make_plug(DiskMap.from_dict(d["map"]), float(d["L"]))
 
 
+def _radial_min_sigma(rho: RadialFunction, sigma: ActionField) -> tuple[float, float]:
+    """Exact minimum of a radial twist's action and its radius.
+
+    sigma' = r^2 rho' / 2 vanishes only at 0 and where rho' does, so the
+    minimum sits at 0, a knot (the support end included) or a real root
+    of rho', a quadratic per knot interval solved in closed form.
+    """
+    cand = np.union1d(np.append(rho.knots, 0.0),
+                      PiecewisePoly.from_radial(rho).derivative().roots())
+    vals = sigma.radial_profile(cand)
+    i = int(np.argmin(vals))
+    return float(vals[i]), float(cand[i])
+
+
 def _min_sigma(phi: DiskMap, sigma: ActionField,
                n_r: int = 256, n_theta: int = 64) -> tuple[float, complex]:
-    """Grid minimum of sigma with deterministic local refinement."""
+    """Minimum of sigma: exact for radial maps, else a polar grid of
+    n_r x n_theta points with deterministic local refinement."""
     S = phi.support
     if S == 0.0:
         return 0.0, 0.0 + 0.0j
     if phi.is_radial:
-        rr = np.union1d(np.linspace(0.0, S, 4 * n_r),
-                        phi.combined_profile().knots)
-        vals = sigma.radial_profile(rr)
-        i = int(np.argmin(vals))
-        lo = rr[max(i - 1, 0)]
-        hi = rr[min(i + 1, rr.size - 1)]
-        if lo < hi:
-            res = minimize_scalar(sigma.radial_profile, bounds=(lo, hi),
-                                  method="bounded",
-                                  options={"xatol": 1e-12})
-            if res.fun < vals[i]:
-                return float(res.fun), complex(res.x)
-        return float(vals[i]), complex(rr[i])
+        value, r = _radial_min_sigma(phi.combined_profile(), sigma)
+        return value, complex(r)
     radii = np.linspace(S / n_r, S, n_r)
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     zz = np.concatenate([[0.0 + 0.0j],
@@ -124,8 +127,9 @@ def make_plug(phi: DiskMap, L: float,
               n_r: int = 256, n_theta: int = 64) -> PlugSystem:
     """Build the plug of (phi, L), rejecting it unless tau > 0 everywhere.
 
-    tau = L + sigma is minimized on a grid plus local refinement; a
-    non-positive minimum raises PlugError with the witness point.
+    tau = L + sigma is minimized exactly for radial maps and on a grid
+    plus local refinement otherwise; a non-positive minimum raises
+    PlugError with the witness point.
     """
     if L <= 0.0:
         raise PlugError("fiber length must be positive")
@@ -331,13 +335,15 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
         raise PlugError("twist support exceeds the plug radius")
     phi = DiskMap(R, (RadialTwist(rho),))
     sigma = action(phi)
-    knots = np.union1d(np.linspace(0.0, R, n_knots), rho.knots)
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    probe = np.concatenate([knots, mids])
-    tau_probe = L + sigma.radial_profile(probe)
-    i = int(np.argmin(tau_probe))
-    if tau_probe[i] <= 0.0:
-        raise PlugError(f"tau <= 0: tau(r = {probe[i]:.6g}) = {tau_probe[i]:.6g}")
+    sig_min, r_min = _radial_min_sigma(rho, sigma)
+    if L + sig_min <= 0.0:
+        raise PlugError(f"tau <= 0: tau(r = {r_min:.6g}) = {L + sig_min:.6g}")
+    # grid knots that the profile's knots duplicate up to rounding would
+    # leave sub-ulp pieces, whose Hermite slopes are rounding noise
+    grid = np.linspace(0.0, R, n_knots)
+    j = np.clip(np.searchsorted(rho.knots, grid), 1, rho.knots.size - 1)
+    near = np.minimum(np.abs(grid - rho.knots[j - 1]), np.abs(grid - rho.knots[j]))
+    knots = np.union1d(grid[near > 1e-6 * R / (n_knots - 1)], rho.knots)
     c = RadialFunction(knots, 0.5 * knots ** 2, knots, parity="even")
     rho_k = rho(knots)
     d_vals = (L + sigma.radial_profile(knots) - 0.5 * rho_k * knots ** 2) / L

@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RadialFunction
+from .numerics import PiecewisePoly, RadialFunction
 from .rotorus import DISK_PERIOD, RotForm, contact_check
 
-PROFILE_GRID = 10000
 # the parabolic parameterization is required on this inner fraction of
 # the line segment; the designer always keeps it exact a bit further out
 ARC_WINDOW = 0.25
@@ -119,7 +118,6 @@ class ConditionReport:
 @dataclass(frozen=True)
 class ProfileReport:
     conditions: tuple[ConditionReport, ...]
-    n_grid: int
 
     @property
     def passed(self) -> bool:
@@ -138,75 +136,131 @@ class ProfileReport:
         return None
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "n_grid": self.n_grid,
+        return {"passed": self.passed,
                 "conditions": [c.to_dict() for c in self.conditions]}
 
 
-def _verify_grid(curve: ProfileCurve, n: int) -> np.ndarray:
-    rho = curve.params.rho
-    rr = np.linspace(0.0, rho, n)
-    ks = np.union1d(curve.f.knots, curve.g.knots)
-    return np.union1d(rr, ks[(ks >= 0.0) & (ks <= rho)])
+def _blocks(stack: PiecewisePoly, k: int) -> list[PiecewisePoly]:
+    """Split k functions laid side by side on equal pieces."""
+    n = stack.lo.size // k
+    lo, hi = stack.lo[:n], stack.hi[:n]
+    return [PiecewisePoly(lo, hi, stack.coef[i * n:(i + 1) * n], stack.err[i * n:(i + 1) * n])
+            for i in range(k)]
 
 
-def _worst(rr: np.ndarray, quantity: np.ndarray) -> tuple[float, float]:
-    i = int(np.argmax(quantity))
-    return float(quantity[i]), float(rr[i])
+class _Parts:
+    """For curves sharing their params: f, g, s = f + g (summed in the
+    data, so exact where they cancel), f', g', s', f'', s'' and the radius
+    r as polynomials on the same pieces, with the curve index of each
+    piece.  They are kept side by side, so restricting them is one call
+    and every check below runs once for all the curves."""
+
+    NAMES = ("f", "g", "s", "fp", "gp", "sp", "fpp", "spp", "r")
+
+    def __init__(self, stack: PiecewisePoly, curve: np.ndarray):
+        self.stack = stack
+        self.curve = curve
+        for name, part in zip(self.NAMES, _blocks(stack, len(self.NAMES))):
+            setattr(self, name, part)
+
+    @classmethod
+    def of(cls, curves: list[ProfileCurve]) -> "_Parts":
+        rho = curves[0].params.rho
+        sums = ([(c.f,) for c in curves] + [(c.g,) for c in curves]
+                + [(c.f, c.g) for c in curves])
+        if all(np.array_equal(c.f.knots, c.g.knots) for c in curves):
+            fgs = PiecewisePoly.from_radials(sums, upto=rho).restrict(0.0, rho)
+        else:
+            fns = [PiecewisePoly.from_radial(*fn, upto=rho).restrict(0.0, rho) for fn in sums]
+            k = len(curves)
+            fgs = PiecewisePoly.concat([fn.refine(fns[2 * k + i % k].knots)
+                                        for i, fn in enumerate(fns)])
+        d1 = fgs.derivative()
+        f, _, _ = _blocks(fgs, 3)
+        fpp, _, spp = _blocks(d1.derivative(), 3)
+        curve = np.cumsum(np.r_[True, f.lo[1:] <= f.lo[:-1]]) - 1
+        return cls(PiecewisePoly.concat([fgs, d1, fpp, spp, f.radius()]), curve)
+
+    def on(self, a: float, b: float) -> "_Parts":
+        keep = (self.f.lo < b) & (self.f.hi > a)
+        return _Parts(self.stack.restrict(a, b), self.curve[keep])
 
 
-def verify_profile(curve: ProfileCurve, n_grid: int = PROFILE_GRID) -> ProfileReport:
-    """Check B1-B5 on a dense grid and report one margin per condition.
+def _conditions(p: ProfileParams, parts: _Parts):
+    """(name, tolerance, terms) per condition; each term (P, Q, curve) is
+    a quantity P/Q (Q > 0, or None for 1) that must stay below the
+    tolerance, with the curve index of its pieces."""
+    line = 1.0 + p.delta
+    every, outer = parts, parts.on(p.r1, p.rho)
+    inner, arc = parts.on(0.0, p.r0), parts.on(0.0, ARC_WINDOW * p.r0)
+    r2 = arc.r * arc.r
+    b1 = [outer.f - 1.0, outer.g - (1.0 - outer.r * outer.r) * p.s]
+    b3 = [(inner.s - line, inner), (arc.f - r2, arc), (arc.g - (line - r2), arc)]
+    return [
+        ("positivity", 1e-12, [(-every.f, None, every.curve), (-every.g, None, every.curve)]),
+        ("B1", ARC_TOL, [(d, None, outer.curve) for q in b1 for d in (q, -q)]),
+        ("B2", 0.0, [(every.gp, every.r, every.curve)]),
+        ("B3", ARC_TOL, [(d, None, at.curve) for q, at in b3 for d in (q, -q)]),
+        ("B4", 0.0, [(every.gp * every.f - every.fp * every.g,
+                      (every.f * every.f + every.g * every.g) * every.r, every.curve)]),
+        # g''f' - f''g' = s''f' - f''s': exactly zero on the line, where s' = 0
+        ("B5", B5_TOL, [(every.spp * every.fp - every.fpp * every.sp,
+                         every.fp * every.fp + every.gp * every.gp, every.curve)]),
+    ]
 
-    Margins are the largest value of each violation quantity, so
-    negative means pass with room; r_at locates the worst point.
+
+def _stack(terms):
+    """One condition's terms side by side: P, Q (1 where None) and the
+    curve index of each piece."""
+    return (PiecewisePoly.concat([p for p, _, _ in terms]),
+            PiecewisePoly.concat([p.constant(1.0) if q is None else q for p, q, _ in terms]),
+            np.concatenate([c for _, _, c in terms]))
+
+
+def _holds(curves: list[ProfileCurve], conds) -> np.ndarray:
+    """holds[k, i]: condition i holds for curve k, from one batched sign
+    decision of tolerance * Q - P > 0 per condition (plus the B3 drop)."""
+    holds = np.ones((len(curves), len(conds)), dtype=bool)
+    for i, (name, tol, terms) in enumerate(conds):
+        P, Q, curve = _stack(terms)
+        holds[curve[~np.isnan((Q * tol - P).failures())], i] = False
+        if name == "B3":
+            holds[:, i] &= [c.gap() <= 2.0 * c.params.delta for c in curves]
+    return holds
+
+
+def verify_profile(curve: ProfileCurve) -> ProfileReport:
+    """Decide positivity and B1-B5 and report one margin per condition.
+
+    Each condition is decided as (tolerance - quantity) > 0 by the sign
+    decisions of the piecewise-polynomial kernel; a sign that rounding
+    leaves undecided fails.  The tolerances are 1e-12 for positivity,
+    ARC_TOL for the B1 and B3 deviations and B5_TOL; B3 also bounds the
+    drop g(r0) - g(rho) by 2 delta.  Margins are the exact maxima of the
+    violation quantities minus the ARC_TOL and B5_TOL offsets, so
+    negative means pass with room; r_at locates them.  B2 (g' < 0) and
+    B4 vanish at the core by parity: they are decided on (0, rho], and
+    their margin is the maximum of the quantity divided by r.
     """
     p = curve.params
-    rr = _verify_grid(curve, n_grid)
-    fv, gv = curve.f(rr), curve.g(rr)
-    fp, gp = curve.f.derivative(rr), curve.g.derivative(rr)
-    fpp, gpp = curve.f.second_derivative(rr), curve.g.second_derivative(rr)
-    conds = []
-
-    m, r_at = _worst(rr, np.maximum(-fv, -gv))
-    conds.append(ConditionReport("positivity", m <= 1e-12, m, r_at))
-
-    outer = rr >= p.r1 - 1e-15
-    dev1 = np.maximum(np.abs(fv[outer] - 1.0),
-                      np.abs(gv[outer] - p.s * (1.0 - rr[outer] ** 2)))
-    m, r_at = _worst(rr[outer], dev1 - ARC_TOL)
-    conds.append(ConditionReport("B1", m <= 0.0, m, r_at,
-                                 note=f"max deviation {m + ARC_TOL:.3e}"))
-
-    inner = rr > 0.0
-    m, r_at = _worst(rr[inner], gp[inner])
-    conds.append(ConditionReport("B2", m < 0.0, m, r_at))
-
-    line = rr <= p.r0 + 1e-15
-    line_dev = np.abs(fv[line] + gv[line] - (1.0 + p.delta))
-    arc = rr <= ARC_WINDOW * p.r0
-    arc_dev = np.maximum(np.abs(fv[arc] - rr[arc] ** 2),
-                         np.abs(gv[arc] - (1.0 + p.delta - rr[arc] ** 2)))
-    gap = float(curve.g(p.r0) - curve.g(p.rho))
-    worst_line, r_line = _worst(rr[line], line_dev - ARC_TOL)
-    worst_arc, r_arc = _worst(rr[arc], arc_dev - ARC_TOL)
-    m = max(worst_line, worst_arc, gap - 2.0 * p.delta)
-    r_at = r_line if worst_line >= worst_arc else r_arc
-    conds.append(ConditionReport(
-        "B3", m <= 0.0, m, r_at,
-        note=f"drop g(r0)-g(rho) = {gap:.6g} (bound {2.0 * p.delta:.6g})"))
-
-    q4 = (gp[inner] * fv[inner] - fp[inner] * gv[inner]) \
-        / (fv[inner] ** 2 + gv[inner] ** 2)
-    m, r_at = _worst(rr[inner], q4)
-    conds.append(ConditionReport("B4", m < 0.0, m, r_at))
-
-    den5 = fp ** 2 + gp ** 2
-    q5 = np.where(den5 == 0.0, 0.0,
-                  (gpp * fp - fpp * gp) / np.where(den5 == 0.0, 1.0, den5))
-    m, r_at = _worst(rr, q5 - B5_TOL)
-    conds.append(ConditionReport("B5", m <= 0.0, m, r_at))
-
-    return ProfileReport(tuple(conds), n_grid)
+    conds = _conditions(p, _Parts.of([curve]))
+    holds = _holds([curve], conds)[0]
+    gap = curve.gap()
+    out = []
+    for (name, tol, terms), ok in zip(conds, holds):
+        P, Q, _ = _stack(terms)
+        m, r_at = P.extreme(Q, largest=True)
+        ok = bool(ok)
+        if name == "B1":
+            out.append(ConditionReport(name, ok, m - tol, r_at,
+                                       note=f"max deviation {m:.3e}"))
+        elif name == "B3":
+            out.append(ConditionReport(
+                name, ok, max(m - tol, gap - 2.0 * p.delta), r_at,
+                note=f"drop g(r0)-g(rho) = {gap:.6g} (bound {2.0 * p.delta:.6g})"))
+        else:
+            out.append(ConditionReport(name, ok, m - (B5_TOL if name == "B5" else 0.0), r_at))
+    return ProfileReport(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +271,9 @@ def _snap(x: float) -> float:
     """Round to the 2^-46 grid so that (1 + delta) - x subtracts exactly.
 
     Dyadic values make the g-data on the line segment the bitwise
-    complement of the f-data; every Hermite coefficient of g is then
-    the exact negation of f's, and the B5 numerator g''f' - f''g'
-    evaluates to floating-point zero instead of 1/h^2-amplified noise.
+    complement of the f-data, so f + g is exactly constant there: the
+    B5 numerator s''f' - f''s' (s = f + g) is then an exact zero that
+    the verifier can decide, instead of 1/h^2-amplified noise.
     """
     return math.ldexp(round(math.ldexp(x, 46)), -46)
 
@@ -246,29 +300,25 @@ def _assemble(p: ProfileParams, r_arc: float, g0: float, df0: float) -> ProfileC
     return ProfileCurve(f, g, p)
 
 
-def _bridge_margin(curve: ProfileCurve, n: int = 400) -> float:
-    """Smallest clockwise-turning margin (B4 and B5 rates) on [r0, r1)."""
-    p = curve.params
-    rr = np.linspace(p.r0, p.r1, n, endpoint=False)
-    fv, gv = curve.f(rr), curve.g(rr)
-    fp, gp = curve.f.derivative(rr), curve.g.derivative(rr)
-    fpp, gpp = curve.f.second_derivative(rr), curve.g.second_derivative(rr)
-    s4 = -(gp * fv - fp * gv) / (fv ** 2 + gv ** 2)
-    s5 = -(gpp * fp - fpp * gp) / (fp ** 2 + gp ** 2)
-    return float(min(np.min(s4), np.min(s5)))
+def _bridge_margins(p: ProfileParams, parts: _Parts) -> np.ndarray:
+    """Per curve: the smallest clockwise-turning margin (B4 and B5 rates) on [r0, r1]."""
+    b = parts.on(p.r0, p.r1)
+    k = int(parts.curve[-1]) + 1
+    s4 = (b.fp * b.g - b.gp * b.f).extremes(b.curve, b.f * b.f + b.g * b.g)[0]
+    s5 = (b.fpp * b.sp - b.spp * b.fp).extremes(b.curve, b.fp * b.fp + b.gp * b.gp)[0]
+    return np.minimum(s4[:k], s5[:k])
 
 
-def design_profile(params: ProfileParams, gap_factor: float = 1.9,
-                   n_search: int = 2000) -> ProfileCurve:
+def design_profile(params: ProfileParams, gap_factor: float = 1.9) -> ProfileCurve:
     """Construct a curve passing all five conditions.
 
     The outer arcs are fixed by B1 and B3.  The interior is a two-knot
     family: the radius r_arc up to which the curve keeps the exact
     parabolic parameterization, and the speed df0 at which it leaves
-    the line at r0.  Candidates are screened by verify_profile and the
-    survivor with the largest minimum turning margin on the bridge
-    wins.  The drop g(r0) - g(rho) is set to gap_factor * delta, inside
-    the 2*delta budget.
+    the line at r0.  All candidates are decided at once by the checks
+    of verify_profile, and the survivor with the largest minimum
+    turning margin on the bridge wins.  The drop g(r0) - g(rho) is set
+    to gap_factor * delta, inside the 2*delta budget.
     """
     p = params
     if not p.feasible():
@@ -287,34 +337,27 @@ def design_profile(params: ProfileParams, gap_factor: float = 1.9,
     g_r1 = p.s * (1.0 - p.r1 ** 2)
     sec_f = (1.0 - f0) / (p.r1 - p.r0)
     sec_g = (g0 - g_r1) / (p.r1 - p.r0)
-    best: tuple[float, ProfileCurve] | None = None
-    failure: ConditionReport | None = None
+    curves = []
     for arc_frac in (0.25, 0.3, 0.35, 0.4):
         r_arc = arc_frac * p.r0
         sec_acc = (f0 - r_arc ** 2) / (p.r0 - r_arc)
         hi = 0.95 * 3.0 * min(sec_f, sec_g, sec_acc)
-        if hi <= 0.0:
-            continue
-        for df0 in np.linspace(0.05 * hi, hi, 24):
-            curve = _assemble(p, r_arc, g0, float(df0))
-            report = verify_profile(curve, n_grid=n_search)
-            if not report.passed:
-                failure = failure or report.first_failure()
-                continue
-            score = _bridge_margin(curve)
-            if best is None or score > best[0]:
-                best = (score, curve)
-    if best is None:
-        name = failure.name if failure else "feasibility"
+        if hi > 0.0:
+            curves += [_assemble(p, r_arc, g0, float(df0))
+                       for df0 in np.linspace(0.05 * hi, hi, 24)]
+    if not curves:
+        raise ProfileError("no admissible interior found "
+                           "(first violated condition: feasibility)")
+    parts = _Parts.of(curves)
+    conds = _conditions(p, parts)
+    holds = _holds(curves, conds)
+    passed = holds.all(axis=1)
+    if not passed.any():
+        name = conds[int(np.argmin(holds[0]))][0]
         raise ProfileError(f"no admissible interior found "
                            f"(first violated condition: {name})")
-    curve = best[1]
-    report = verify_profile(curve)
-    if not report.passed:
-        bad = report.first_failure()
-        raise ProfileError(f"designed curve fails {bad.name} "
-                           f"at r = {bad.r_at:.6g} on the final grid")
-    return curve
+    score = np.where(passed, _bridge_margins(p, parts), -np.inf)
+    return curves[int(np.argmax(score))]
 
 
 # ---------------------------------------------------------------------------
@@ -380,29 +423,31 @@ class TauReport:
                 "passed": self.passed}
 
 
-def tau_profile(curve: ProfileCurve,
-                n_grid: int = PROFILE_GRID) -> tuple[TauProfile, TauReport]:
+def tau_profile(curve: ProfileCurve) -> tuple[TauProfile, TauReport]:
     """The return-time profile of the curve plus its monotonicity report.
 
-    Valid under B2; raises if g' is not negative on the grid.
+    Valid under B2; raises unless g' < 0 is decided on (0, rho].  The
+    report's extremes are exact maxima and minima of the polynomial
+    ratios tau = (f'g - g'f) / (-(1 + delta) g') and
+    tau' = g (f'g'' - g'f'') / ((1 + delta) g'^2).
     """
     p = curve.params
-    rr = _verify_grid(curve, n_grid)
-    inner = rr > 0.0
-    gp = curve.g.derivative(rr[inner])
-    if np.max(gp) >= 0.0:
-        raise ProfileError("tau is undefined where g' >= 0 "
-                           f"(r = {float(rr[inner][np.argmax(gp)]):.6g})")
-    tau = TauProfile(curve)
-    values = tau(rr)
-    slopes = tau.slope(rr)
+    c = _Parts.of([curve])
+    r_bad = (-c.gp).positive()
+    if r_bad is not None:
+        raise ProfileError(f"tau is undefined where g' >= 0 (r = {r_bad:.6g})")
+    scale = 1.0 + p.delta
+    num, den = c.fp * c.g - c.gp * c.f, c.gp * -scale
+    lo, hi = num.extreme(den)[0], num.extreme(den, largest=True)[0]
+    # f'g'' - g'f'' = f's'' - s'f'': exactly zero on the line, where s' = 0
+    slope = c.g * (c.fp * c.spp - c.sp * c.fpp)
     report = TauReport(
-        monotone_margin=float(np.max(slopes)),
-        min_value=float(np.min(values)),
-        max_value=float(np.max(values)),
-        sup_deviation=float(np.max(np.abs(values - 1.0))),
+        monotone_margin=slope.extreme(c.gp * c.gp * scale, largest=True)[0],
+        min_value=lo,
+        max_value=hi,
+        sup_deviation=max(hi - 1.0, 1.0 - lo),
         deviation_bound=p.delta / (1.0 + p.delta))
-    return tau, report
+    return TauProfile(curve), report
 
 
 def to_rotform(curve: ProfileCurve) -> RotForm:

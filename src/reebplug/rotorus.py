@@ -6,21 +6,23 @@ two even radial coefficients.  Everything downstream of the contact
 condition W = c'd - cd' > 0 is closed-form: the Reeb field rotates both
 angles at r-dependent rates, the return systems of the two natural
 sections have explicit time and shift, closed orbits sit on resonant
-tori detected by a 1D root scan, and the volume reduces to a 1D
-integral of W (cross-checked two more ways).
+tori found as the closed-form roots of a quadratic per knot interval,
+and the volume reduces to a 1D integral of W (cross-checked two more
+ways).  The sign conditions (W > 0, transversality) are decided by the
+piecewise-polynomial kernel, not sampled.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numerics import (
     OdeSpec,
+    PiecewisePoly,
     RadialFunction,
     gauss_piecewise,
     ode_flow,
@@ -91,29 +93,35 @@ def _knot_union(form: RotForm) -> np.ndarray:
     return ks[(ks >= 0.0) & (ks <= form.radius)]
 
 
-def _scan_grid(form: RotForm, n: int) -> np.ndarray:
-    """Uniform radii on (0, R] merged with the interior knots."""
-    rr = np.linspace(form.radius / n, form.radius, n)
-    ks = _knot_union(form)
-    return np.union1d(rr, ks[ks > 0.0])
+def _coefficients(form: RotForm) -> tuple[PiecewisePoly, PiecewisePoly]:
+    """c and d as piecewise polynomials on the same pieces of [0, R]."""
+    R = form.radius
+    c, d = (PiecewisePoly.from_radial(fn, upto=R).restrict(0.0, R) for fn in (form.c, form.d))
+    knots = np.union1d(c.knots, d.knots)
+    return c.refine(knots), d.refine(knots)
 
 
-def contact_check(form: RotForm, n_grid: int = 4096) -> float:
-    """Minimum of W(r)/r over a dense grid (limit value at r = 0).
-
-    Raises ContactError at the first radius where the margin is not
-    strictly positive.
-    """
-    m0 = float(form.c.second_derivative(0.0) * form.d(0.0))
-    rr = _scan_grid(form, n_grid)
-    margins = form.wronskian(rr) / rr
-    worst = int(np.argmin(margins))
-    margin = min(m0, float(margins[worst]))
-    if margin <= 0.0:
-        r_bad = 0.0 if m0 <= margins[worst] else float(rr[worst])
+def _contact(form: RotForm) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:
+    """c, d and W, after deciding W > 0 on (0, R] (as W/r > 0 on [0, R],
+    the parity zero at the core factored out); raises ContactError where
+    it fails or rounding leaves it undecided."""
+    c, d = _coefficients(form)
+    W = c.derivative() * d - c * d.derivative()
+    r_bad = W.positive()
+    if r_bad is not None:
         raise ContactError(f"contact condition fails at r = {r_bad:.6g} "
-                           f"(W/r = {margin:.3e})")
-    return margin
+                           f"(min W/r = {W.extreme(W.radius())[0]:.3e})")
+    return c, d, W
+
+
+def contact_check(form: RotForm) -> float:
+    """Minimum of W(r)/r on [0, R], with its limit c''(0) d(0) at r = 0.
+
+    W > 0 on (0, R] is decided by the piecewise-polynomial kernel;
+    raises ContactError where it fails or rounding leaves it undecided.
+    """
+    W = _contact(form)[2]
+    return W.extreme(W.radius())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,28 +276,23 @@ class ReturnSystem:
         return self.shift(r) / other
 
 
-def return_system(form: RotForm, section: str, n_grid: int = 4096) -> ReturnSystem:
-    """Return data on a section, after checking transversality on a grid."""
+def return_system(form: RotForm, section: str) -> ReturnSystem:
+    """Return data on a section, after deciding transversality on (0, R]."""
     try:
         sec = _SECTIONS[section]
     except KeyError:
         raise ValueError(f"unknown section {section!r}; "
                          "use 'disk-angle' or 'core-angle'") from None
-    rr = _scan_grid(form, n_grid)
+    c, d = _coefficients(form)
     if sec == "core-angle":
-        cp = form.c.derivative(rr)
-        bad = cp <= 0.0
-        if np.any(bad):
-            r_bad = float(rr[np.argmax(bad)])
+        r_bad = c.derivative().positive()
+        if r_bad is not None:
             raise SectionError("core-angle section loses transversality: "
                                f"c'({r_bad:.6g}) <= 0")
         return ReturnSystem(form, sec, form.core_period, 0.0, form.radius)
-    dp = form.d.derivative(rr)
-    if np.any(dp == 0.0) or (np.min(dp) < 0.0 < np.max(dp)):
-        if np.any(dp == 0.0):
-            r_bad = float(rr[np.argmax(dp == 0.0)])
-        else:
-            r_bad = float(rr[np.argmax(dp > 0.0 if dp[0] < 0.0 else dp < 0.0)])
+    sign = 1.0 if form.d.derivative(form.radius) > 0.0 else -1.0
+    r_bad = (d.derivative() * sign).positive()
+    if r_bad is not None:
         raise SectionError("disk-angle section loses transversality: "
                            f"d'({r_bad:.6g}) = 0 or changes sign")
     return ReturnSystem(form, sec, DISK_PERIOD, 0.0, form.radius)
@@ -342,29 +345,20 @@ def _torus_period(form: RotForm, r: float, p: int, q: int) -> float:
 
 def _record_torus(form: RotForm, r: float, p: int, q: int, t_max: float,
                   r_lo: float | None = None, r_hi: float | None = None,
-                  tol: float = 1e-8) -> OrbitRecord | None:
+                  tol: float = 1e-8) -> tuple[OrbitRecord | None, bool]:
+    """(record, dropped): no record beyond t_max, nor when the exact flow
+    fails to close to tol, which also sets dropped."""
     period = _torus_period(form, r, p, q)
     if not (0.0 < period <= t_max):
-        return None
+        return None, False
     p_rec, q_rec, res = _closure_residual(form, r, period)
     if res > tol * max(1.0, period):
         warnings.warn(f"orbit candidate at r = {r:.6g} failed closure "
                       f"re-verification (residual {res:.2e})")
-        return None
+        return None, True
     return OrbitRecord("resonant-torus", r, p_rec, q_rec, period,
                        r if r_lo is None else r_lo,
-                       r if r_hi is None else r_hi, res)
-
-
-def _runs(indices: np.ndarray):
-    """Maximal runs of consecutive integers, as (first, last) pairs."""
-    if indices.size == 0:
-        return
-    cuts = np.flatnonzero(np.diff(indices) > 1)
-    starts = np.concatenate(([0], cuts + 1))
-    ends = np.concatenate((cuts, [indices.size - 1]))
-    for a, b in zip(starts, ends):
-        yield int(indices[a]), int(indices[b])
+                       r if r_hi is None else r_hi, res), False
 
 
 def _coprime_pairs(p_max: int, q_max: int):
@@ -376,111 +370,130 @@ def _coprime_pairs(p_max: int, q_max: int):
                 yield p, q
 
 
-def orbit_enumerate(form: RotForm, t_max: float, q_max: int,
-                    n_grid: int = 10000) -> list[OrbitRecord]:
+_P_CLAMP = 10000
+
+
+class OrbitSearch(list):
+    """The records of orbit_enumerate, sorted by period, plus the bounds of
+    the search: q_cap (the most core turns that fit below t_max), whether
+    the disk-turn bound was clamped, and how many candidates failed
+    re-verification."""
+
+    def __init__(self, records, q_cap: int, clamped: bool, dropped: int):
+        super().__init__(records)
+        self.q_cap = q_cap
+        self.clamped = clamped
+        self.dropped = dropped
+
+
+def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
     """All closed-orbit families with period <= t_max and core turns <= q_max.
 
     A radius is resonant for coprime (p, q) when q*(-d')/(2*pi) equals
     p*c'/P there (the rate-ratio condition cleared of its denominator W,
-    so the scan has no poles).  Sign changes on the grid are refined by
-    bisection; stretches where the function vanishes identically are
-    reported as bands.  Every record is re-verified by closing the exact
-    flow to 1e-8 in both angles.
+    so it has no poles).  That function is a quadratic on each knot
+    interval: its roots are found in closed form, a root on a shared
+    knot reported once, and intervals on which it vanishes identically
+    (to 1e-12 of its scale) merge into bands.  The turn bounds come from
+    the exact suprema of |d'|/W and |c'|/W.  Every record is re-verified
+    by closing the exact flow to 1e-8 in both angles.
     """
     if q_max < 0:
         raise ValueError("q_max must be >= 0")
-    contact_check(form, n_grid=min(n_grid, 4096))
+    c, d, W = _contact(form)
     records: list[OrbitRecord] = []
+    dropped = 0
 
     core_T = form.core_period * float(form.d(0.0))
     if core_T <= t_max:
         _, _, res = _closure_residual(form, 0.0, core_T)
         records.append(OrbitRecord("core", 0.0, 0, 1, core_T, 0.0, 0.0, res))
 
-    rr = _scan_grid(form, n_grid)
-    cp = form.c.derivative(rr)
-    dp = form.d.derivative(rr)
-    W = form.wronskian(rr)
-    coef_q = -dp / DISK_PERIOD
-    coef_p = cp / form.core_period
-
+    cp, dp = c.derivative(), d.derivative()
     # period formulas bound how many angle turns fit below t_max
-    p_max = int(math.ceil(t_max * float(np.max(np.abs(dp) / W)) / DISK_PERIOD))
-    q_cap = int(math.ceil(t_max * float(np.max(np.abs(cp) / W)) / form.core_period))
+    sup_d, sup_c = (max(rate.extreme(W, largest=True)[0], (-rate).extreme(W, largest=True)[0])
+                    for rate in (dp, cp))
+    p_max = int(math.ceil(t_max * sup_d / DISK_PERIOD))
+    q_cap = int(math.ceil(t_max * sup_c / form.core_period))
     q_eff = min(q_max, max(q_cap, 0))
-    if p_max > 10000:
-        warnings.warn(f"clamping disk-turn bound from {p_max} to 10000")
-        p_max = 10000
+    clamped = p_max > _P_CLAMP
+    if clamped:
+        warnings.warn(f"clamping disk-turn bound from {p_max} to {_P_CLAMP}")
+        p_max = _P_CLAMP
 
+    coef_q = -dp.coef / DISK_PERIOD
+    coef_p = cp.coef / form.core_period
+    # the quadratics' Bernstein coefficients (columns) and end values
+    to_bernstein = np.array([[1.0, 1.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]])
+    bern_q, bern_p = (coef @ to_bernstein for coef in (coef_q, coef_p))
+    ends_q, ends_p = np.abs(bern_q[:, ::2]), np.abs(bern_p[:, ::2])
+    gap = 1e-12 * max(1.0, form.radius)
     for p, q in _coprime_pairs(p_max, q_eff):
         g = q * coef_q - p * coef_p
-        scale = abs(q) * np.abs(coef_q) + abs(p) * np.abs(coef_p)
-        zero = np.abs(g) <= 1e-12 * np.maximum(scale, 1e-300)
-        # bands: maximal runs of grid zeros (>= 2 points)
-        claimed = np.zeros(rr.size, dtype=bool)
-        idx = np.flatnonzero(zero)
-        for i, j in _runs(idx):
-            if j > i:
-                lo, hi = float(rr[i]), float(rr[j])
-                seg = slice(i, j + 1)
-                if q != 0:
-                    periods = q * form.core_period * W[seg] / np.abs(cp[seg])
-                else:
-                    periods = abs(p) * DISK_PERIOD * W[seg] / np.abs(dp[seg])
-                best = int(np.argmin(periods))
-                rec = _record_torus(form, float(rr[seg][best]), p, q, t_max,
-                                    r_lo=lo, r_hi=hi)
+        b = q * bern_q - p * bern_p
+        b_lo = np.minimum(np.minimum(b[:, 0], b[:, 1]), b[:, 2])
+        b_hi = np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2])
+        scale = abs(q) * ends_q + abs(p) * ends_p
+        tol = 1e-12 * np.maximum(scale[:, 0], scale[:, 1])
+        # identically zero: |g| <= 1e-12 (|q| |coef_q| + |p| |coef_p|) on the piece
+        zero = np.maximum(b_hi, -b_lo) <= tol
+        bands = []
+        if zero.any():
+            # maximal runs of identically resonant pieces are bands, with r
+            # at the smallest period T = q P W/|c'| (q = 0: |p| 2 pi W/|d'|)
+            edge = np.diff(np.concatenate([[0], zero.astype(int), [0]]))
+            for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
+                lo, hi = float(cp.lo[i]), float(cp.hi[j - 1])
+                rate, fn = (cp, form.c) if q != 0 else (dp, form.d)
+                sign = 1.0 if fn.derivative(0.5 * (lo + hi)) > 0.0 else -1.0
+                r = W.restrict(lo, hi).extreme(rate.restrict(lo, hi) * sign)[1]
+                # a band closing onto the core never undercuts q times the
+                # core period there, and its tori need r > 0
+                rec, bad = _record_torus(form, r if r > 0.0 else hi, p, q, t_max,
+                                         r_lo=lo, r_hi=hi)
+                dropped += bad
                 if rec is not None:
                     records.append(rec)
-            else:
-                rec = _record_torus(form, float(rr[i]), p, q, t_max)
-                if rec is not None:
-                    records.append(rec)
-            claimed[i:j + 1] = True
-
-        sign_change = np.where((g[:-1] * g[1:] < 0.0)
-                               & ~claimed[:-1] & ~claimed[1:])[0]
-        for i in sign_change:
-            a, b = float(rr[i]), float(rr[i + 1])
-            try:
-                root = brentq(
-                    lambda s: q * (-float(form.d.derivative(s))) / DISK_PERIOD
-                    - p * float(form.c.derivative(s)) / form.core_period,
-                    a, b, xtol=1e-14, rtol=8.9e-16)
-            except (RuntimeError, ValueError):
-                warnings.warn(f"could not isolate a ({p},{q}) resonance "
-                              f"in [{a:.6g}, {b:.6g}]; grid may be too coarse")
+                bands.append((lo - gap, hi + gap))
+        # roots only where the Bernstein coefficients can change sign
+        live = np.flatnonzero(~zero & (b_lo <= tol) & (b_hi >= -tol))
+        candidates = PiecewisePoly(cp.lo[live], cp.hi[live], g[live], np.zeros_like(g[live]))
+        for r in (candidates.roots() if live.size else ()):
+            if any(lo <= r <= hi for lo, hi in bands):
                 continue
-            rec = _record_torus(form, float(root), p, q, t_max)
+            rec, bad = _record_torus(form, float(r), p, q, t_max)
+            dropped += bad
             if rec is not None:
                 records.append(rec)
 
     records.sort(key=lambda o: (o.period, o.r, o.q, o.p))
-    return records
+    return OrbitSearch(records, q_cap, clamped, dropped)
 
 
 @dataclass(frozen=True)
 class TminEstimate:
-    """Search-limited minimal period, with the scan parameters on record."""
+    """Minimal period over the enumerated orbit families, with the search
+    parameters on record.  heuristic is False only when the search was
+    complete: q_max reached q_cap (the most core turns that fit below
+    t_max), the disk-turn bound was not clamped, and no candidate failed
+    re-verification."""
 
     value: float
     kind: str
     r: float
     t_max: float
     q_max: int
-    n_grid: int
-    heuristic: bool = field(default=True)
+    heuristic: bool = True
 
 
-def tmin(form: RotForm, t_max: float, q_max: int,
-         n_grid: int = 10000) -> TminEstimate:
-    """Minimum period over the enumerated orbit families (heuristic)."""
-    records = orbit_enumerate(form, t_max, q_max, n_grid)
-    if not records:
-        return TminEstimate(math.inf, "none-found", math.nan,
-                            t_max, q_max, n_grid)
-    best = records[0]
-    return TminEstimate(best.period, best.kind, best.r, t_max, q_max, n_grid)
+def tmin(form: RotForm, t_max: float, q_max: int) -> TminEstimate:
+    """Minimum period over the enumerated orbit families."""
+    found = orbit_enumerate(form, t_max, q_max)
+    heuristic = q_max < found.q_cap or found.clamped or found.dropped > 0
+    if not found:
+        return TminEstimate(math.inf, "none-found", math.nan, t_max, q_max, heuristic)
+    best = found[0]
+    return TminEstimate(best.period, best.kind, best.r, t_max, q_max, heuristic)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +529,7 @@ def volume(form: RotForm, n_simpson: int = 8193, n_angle: int = 24) -> VolumeTri
         every (r, phi, psi) node: Simpson in r (ignoring the knots),
         uniform midpoint in both angles.
     """
-    contact_check(form)
+    _contact(form)
     R, P = form.radius, form.core_period
     breaks = _knot_union(form)
 

@@ -354,13 +354,13 @@ def test_criterion_8_certificate_arithmetic():
 def _run_pipeline(inputs: Path, out: Path) -> None:
     runs = [
         ["profile", "design", "--s", "0.01", "--delta", "0.1",
-         "--rho", "0.5", "--r0", "0.1", "--r1", "0.3", "--grid", "4000",
+         "--rho", "0.5", "--r0", "0.1", "--r1", "0.3",
          "--out", str(out / "profile")],
         ["rotorus", "analyze", str(out / "profile" / "binding_form.json"),
-         "--tmax", "2.5", "--qmax", "2", "--grid", "4000",
+         "--tmax", "2.5", "--qmax", "2",
          "--out", str(out / "rotorus")],
         ["rotorus", "orbits", str(out / "profile" / "binding_form.json"),
-         "--tmax", "2.5", "--qmax", "2", "--grid", "4000",
+         "--tmax", "2.5", "--qmax", "2",
          "--out", str(out / "rotorus")],
         ["disk", "act", str(inputs / "map.json"), "--out", str(out / "disk")],
         ["disk", "periodic", str(inputs / "map.json"), "--kmax", "2",

@@ -9,7 +9,7 @@ from reebplug.numerics import RadialFunction
 from reebplug.rotorus import RotForm
 
 DESIGN = ["profile", "design", "--s", "0.01", "--delta", "0.1",
-          "--rho", "0.5", "--r0", "0.1", "--r1", "0.3", "--grid", "4000"]
+          "--rho", "0.5", "--r0", "0.1", "--r1", "0.3"]
 
 
 def run(args, out):
@@ -46,7 +46,7 @@ def test_profile_design_pass(tmp_path, capsys):
     report = json.loads((tmp_path / "profile_report.json").read_text())
     assert report["profile"]["passed"] is True
     assert report["tau"]["passed"] is True
-    assert report["context"]["n_grid"] == 4000
+    assert "n_grid" not in report["context"]
 
 
 def test_profile_design_infeasible(tmp_path, capsys):
@@ -63,7 +63,7 @@ def test_profile_verify_names_planted_violation(tmp_path, capsys):
     curve["g"]["derivs"][2] = 0.5
     bad = tmp_path / "bad_curve.json"
     bad.write_text(json.dumps(curve))
-    rc = main(["profile", "verify", str(bad), "--grid", "4000",
+    rc = main(["profile", "verify", str(bad),
                "--out", str(tmp_path / "v")])
     assert rc == 1
     out = capsys.readouterr().out
@@ -87,7 +87,7 @@ def test_profile_design_deterministic(tmp_path):
 def test_rotorus_orbits_csv(tmp_path):
     assert run(DESIGN, tmp_path) == 0
     rc = main(["rotorus", "orbits", str(tmp_path / "binding_form.json"),
-               "--tmax", "2", "--qmax", "3", "--grid", "4000",
+               "--tmax", "2", "--qmax", "3",
                "--out", str(tmp_path / "orb")])
     assert rc == 0
     lines = (tmp_path / "orb" / "orbits.csv").read_text().splitlines()
@@ -99,7 +99,7 @@ def test_rotorus_orbits_csv(tmp_path):
 def test_rotorus_analyze_binding(tmp_path):
     assert run(DESIGN, tmp_path) == 0
     rc = main(["rotorus", "analyze", str(tmp_path / "binding_form.json"),
-               "--qmax", "4", "--grid", "4000", "--tol", "1e-6",
+               "--qmax", "4", "--tol", "1e-6",
                "--out", str(tmp_path / "an")])
     assert rc == 0
     data = json.loads((tmp_path / "an" / "analysis.json").read_text())

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from reebplug.numerics import (
     NonConvergenceError,
     OdeSpec,
+    PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
     find_root_1d,
@@ -212,3 +216,201 @@ def test_find_root_1d_rejects_jump_without_root():
     # Brent converges onto the jump of a step function, where the residual is 1
     with pytest.raises(NonConvergenceError):
         find_root_1d(lambda x: 1.0 if x > 0.5 else -1.0, bracket=(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# PiecewisePoly: sign decisions against an exact rational reference
+# ---------------------------------------------------------------------------
+
+def _exact_hermite(x0, x1, v0, d0, v1, d1):
+    """Power coefficients in t of the Hermite cubic on [x0, x1], exactly."""
+    h, dv = x1 - x0, v1 - v0
+    return [v0, h * d0, 3 * dv - h * (2 * d0 + d1), -2 * dv + h * (d0 + d1)]
+
+
+def _exact_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _exact_bernstein(a):
+    n = len(a) - 1
+    return [sum(Fraction(math.comb(j, i), math.comb(n, i)) * a[i] for i in range(j + 1))
+            for j in range(n + 1)]
+
+
+def _exact_halves(b):
+    left, right = [b[0]], [b[-1]]
+    while len(b) > 1:
+        b = [(p + q) / 2 for p, q in zip(b[:-1], b[1:])]
+        left.append(b[0])
+        right.append(b[-1])
+    return left, right[::-1]
+
+
+def _exact_min_bounds(a, depth=40, keep=3):
+    """(lower, upper) bounds on the exact minimum of a polynomial on [0, 1],
+    by exact Bernstein subdivision of the pieces that can hold it."""
+    pieces = [_exact_bernstein(a)]
+    upper = min(pieces[0][0], pieces[0][-1])
+    floor = None  # smallest lower bound among pieces set aside
+    for _ in range(depth):
+        split = [h for b in pieces for h in _exact_halves(b)]
+        upper = min([upper] + [min(b[0], b[-1]) for b in split])
+        split.sort(key=min)
+        live = [b for b in split if min(b) < upper]
+        for b in live[keep:]:
+            floor = min(b) if floor is None else min(floor, min(b))
+        pieces = live[:keep]
+        if not pieces:
+            break
+    lowers = [min(b) for b in pieces] + ([floor] if floor is not None else [])
+    return (min(lowers) if lowers else upper), upper
+
+
+def _exact_leading_zeros_removed(a):
+    z = 0
+    while z < len(a) - 1 and a[z] == 0:
+        z += 1
+    return a[z:]
+
+
+def _random_hermite(rng, at_core: bool, knots=None):
+    """Full-precision random data (every float is a dyadic rational, so the
+    exact reference sees the same numbers); at_core starts at 0 with
+    f = f' = 0."""
+    if knots is None:
+        knots = np.sort(rng.uniform(0.05, 1.0, size=rng.integers(2, 5)))
+        knots = np.concatenate([[0.0], knots]) if at_core else knots
+    v = rng.uniform(-3.0, 3.0, size=knots.size)
+    d = rng.uniform(-3.0, 3.0, size=knots.size)
+    if at_core:
+        v[0] = d[0] = 0.0
+    return RadialFunction(knots, v, d)
+
+
+def _exact_pieces(fn):
+    x = [Fraction(t) for t in fn.knots]
+    v = [Fraction(t) for t in fn.values]
+    d = [Fraction(t) for t in fn.derivs]
+    return [_exact_hermite(x[i], x[i + 1], v[i], d[i], v[i + 1], d[i + 1])
+            for i in range(len(x) - 1)]
+
+
+def _exact_derivative(pieces, knots):
+    return [[k * a[k] / (Fraction(x1) - Fraction(x0)) for k in range(1, len(a))]
+            for a, x0, x1 in zip(pieces, knots[:-1], knots[1:])]
+
+
+def _exact_cut(a, x0, x1, lo, hi):
+    """The piece a on [x0, x1] in the local variable of [lo, hi], exactly."""
+    h = Fraction(x1) - Fraction(x0)
+    al, be = (Fraction(lo) - Fraction(x0)) / h, (Fraction(hi) - Fraction(lo)) / h
+    return [be ** k * sum(math.comb(m, k) * al ** (m - k) * a[m] for m in range(k, len(a)))
+            for k in range(len(a))]
+
+
+def _exact_on(pieces, knots, lo, hi):
+    """Exact pieces of a function with the given knots, on pieces [lo, hi]."""
+    out = []
+    for l, h in zip(lo, hi):
+        i = min(int(np.searchsorted(knots, l, side="right")) - 1, len(knots) - 2)
+        out.append(_exact_cut(pieces[i], knots[i], knots[i + 1], l, h))
+    return out
+
+
+def _exposed(poly, exact):
+    """poly minus its own float coefficients (taken as exact) plus a tiny
+    delta > 0: in floats every coefficient reads delta, while the exact
+    sign is set by poly's rounding errors, which only its bounds cover."""
+    delta = 2.0 ** -60 * float(np.abs(poly.coef).max())
+    fixed = PiecewisePoly(poly.lo, poly.hi, poly.coef.copy(), np.zeros_like(poly.coef))
+    return poly - fixed + delta, [
+        [e - Fraction(c) + (Fraction(delta) if k == 0 else 0) for k, (e, c) in enumerate(zip(a, row))]
+        for a, row in zip(exact, poly.coef)]
+
+
+def _check_against_exact(poly, exact, seed, mags=None):
+    fails = poly.failures()
+    for i, a in enumerate(exact):
+        mag = sum(abs(c) for c in (a if mags is None else mags[i]))
+        core = poly.lo[i] == 0.0
+        lower, upper = _exact_min_bounds(_exact_leading_zeros_removed(a) if core else a)
+        if np.isnan(fails[i]):
+            assert lower > 0, (seed, i, float(lower))   # decided positive: exactly so
+        elif lower > 0:
+            # undecided, not negative: only within rounding of zero
+            assert upper <= Fraction(1e-12) * mag, (seed, i, float(upper))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_positive_never_contradicts_exact_sign(seed):
+    rng = np.random.default_rng(seed)
+    f = _random_hermite(rng, at_core=seed % 3 == 0)
+    g = _random_hermite(rng, at_core=False, knots=f.knots)
+    F, G = PiecewisePoly.from_radial(f), PiecewisePoly.from_radial(g)
+    ef, eg = _exact_pieces(f), _exact_pieces(g)
+    efp = _exact_derivative(ef, f.knots)
+    # a shift that makes F^2 + shift vanish at a knot, up to the rounding of v^2
+    v = f.values[rng.integers(1, f.knots.size)]
+    shift = -(v * v) + [0.0, 1e-14, -1e-14][seed % 3]
+    cases = [
+        (F, ef),
+        (F.derivative(), efp),
+        (F * G, [_exact_mul(a, b) for a, b in zip(ef, eg)]),                  # degree 6
+        (F.derivative() * G, [_exact_mul(a, b) for a, b in zip(efp, eg)]),    # degree 5
+        (F * F + shift, [[c + (Fraction(shift) if k == 0 else 0)
+                          for k, c in enumerate(_exact_mul(a, a))] for a in ef]),
+    ]
+    # cut to an interval that ends off the knots, and a sum over the union
+    # of two knot sets (both re-expressed on the new pieces)
+    a, b = np.sort(rng.uniform(f.knots[0], f.knots[-1], size=2))
+    cut = (F * G).restrict(a, b)
+    cases.append((cut, _exact_on([_exact_mul(p, q) for p, q in zip(ef, eg)], f.knots,
+                                 cut.lo, cut.hi)))
+    cut = F.restrict(a, b)
+    cases.append((cut, _exact_on(ef, f.knots, cut.lo, cut.hi)))
+    h = _random_hermite(rng, at_core=False,
+                        knots=np.sort(rng.uniform(f.knots[0], f.knots[-1], size=3)))
+    both = F.restrict(h.knots[0], h.knots[-1]) + PiecewisePoly.from_radial(h)
+    eh = _exact_pieces(h)
+    cases.append((both, [[p + q for p, q in zip(u, w)] for u, w in zip(
+        _exact_on(ef, f.knots, both.lo, both.hi), _exact_on(eh, h.knots, both.lo, both.hi))]))
+    for poly, exact in cases:
+        _check_against_exact(poly, exact, seed)
+        _check_against_exact(*_exposed(poly, exact), seed, mags=exact)
+
+
+def test_positive_factors_parity_zeros_at_the_core():
+    r = np.linspace(0.0, 1.0, 5)
+    c = PiecewisePoly.from_radial(RadialFunction(r, r * r / 2.0, r, parity="even"))
+    d = PiecewisePoly.from_radial(RadialFunction(r, 1.0 - 0.25 * r * r, -0.5 * r,
+                                                 parity="even"))
+    W = c.derivative() * d - c * d.derivative()      # W = r exactly
+    assert W.coef[0, 0] == 0.0 and W.err[0, 0] == 0.0
+    assert W.positive() is None                      # decided on (0, 1]
+    value, r_at = W.extreme(W.radius())              # W/r, its limit at 0 included
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert (-W).positive() == 0.0
+
+
+def test_extreme_and_roots_closed_forms():
+    r = np.linspace(0.0, 1.0, 4)
+    f = PiecewisePoly.from_radial(RadialFunction(r, (r - 0.4) ** 2, 2.0 * (r - 0.4)))
+    value, r_at = f.extreme()
+    assert value == pytest.approx(0.0, abs=1e-15)
+    assert r_at == pytest.approx(0.4, abs=1e-8)
+    top, r_top = f.extreme(largest=True)
+    assert top == pytest.approx(0.36, abs=1e-15) and r_top == 1.0
+    # H' = (r - 0.3)(r - 0.5) for the cubic H, cut to [0.2, 0.9]; the root
+    # 0.5 lies on no knot, 0.3 on none either, and the knot 1/3 is shared
+    H = RadialFunction(r, r ** 3 / 3.0 - 0.4 * r ** 2 + 0.15 * r, (r - 0.3) * (r - 0.5))
+    roots = PiecewisePoly.from_radial(H).derivative().restrict(0.2, 0.9).roots()
+    assert np.allclose(roots, [0.3, 0.5], atol=1e-14)
+    # a root on a shared knot is reported once
+    K = RadialFunction(r, r ** 3 / 3.0 - r ** 2 / 3.0, r * r - 2.0 * r / 3.0)
+    assert np.allclose(PiecewisePoly.from_radial(K).derivative().roots(), [2.0 / 3.0],
+                       atol=1e-14)

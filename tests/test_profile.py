@@ -162,6 +162,24 @@ def test_planted_b2_violation(curve):
     assert curve.params.r0 < cond.r_at <= curve.params.rho
 
 
+def test_planted_narrow_b2_bump():
+    # on [0.3, 1], g = 0.5 + 1e-9 r - (r - r*)^3 / 3: g' = 1e-9 - (r - r*)^2 is
+    # positive only over a width of 6.3e-5 < rho / 10000 around r*, which
+    # sits halfway between two points of a 10000-point grid on [0, 1]
+    p = ProfileParams(0.01, 0.1, 1.0, 0.3, 0.8)
+    r_star = 6000.5 / 9999.0
+    knots = np.array([0.0, 0.3, 1.0])
+    g_fn = lambda r: 0.5 + 1e-9 * r - (r - r_star) ** 3 / 3.0
+    g_der = lambda r: 1e-9 - (r - r_star) ** 2
+    g = RadialFunction(knots, np.array([g_fn(0.3) - 0.15 * g_der(0.3), g_fn(0.3), g_fn(1.0)]),
+                       np.array([0.0, g_der(0.3), g_der(1.0)]), parity="even")
+    f = RadialFunction(knots, knots * knots, 2.0 * knots, parity="even")
+    assert g.derivative(r_star) > 0.0                 # the bump is real
+    cond = verify_profile(ProfileCurve(f, g, p)).condition("B2")
+    assert not cond.passed
+    assert cond.r_at == pytest.approx(r_star, abs=1e-4)
+
+
 def test_planted_b3_violation(curve):
     f = curve.f
     vals = f.values.copy()
@@ -225,7 +243,7 @@ def test_curve_serialization_roundtrip(curve):
     rr = np.linspace(0.0, curve.params.rho, 137)
     assert np.array_equal(back.f(rr), curve.f(rr))
     assert np.array_equal(back.g(rr), curve.g(rr))
-    assert verify_profile(back, n_grid=2000).passed
+    assert verify_profile(back).passed
 
 
 @settings(max_examples=8, deadline=None)
@@ -242,6 +260,6 @@ def test_design_property(s, delta, rho, u0, u1):
     params = ProfileParams(s, delta, rho, r0, r1)
     assume(params.feasible())
     c = design_profile(params)
-    assert verify_profile(c, n_grid=4000).passed
-    _, report = tau_profile(c, n_grid=4000)
+    assert verify_profile(c).passed
+    _, report = tau_profile(c)
     assert report.passed

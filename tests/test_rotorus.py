@@ -61,6 +61,36 @@ def flat_outer_form() -> rt.RotForm:
     return rt.RotForm(1.0, 1.0, c, d)
 
 
+def close_tori_form() -> rt.RotForm:
+    # c = r^2/2 and, on [0.3, 1], d = 10 - 2 pi (r^2/2 + (r - a)^3/3 - 4e-10 r):
+    # the (1,1) resonance -d'/(2 pi) = c' reads (r - a)^2 = 4e-10, two tori
+    # 4e-5 apart with period W/c' = 10 + O(1e-9); on [0, 0.3] d is an even
+    # cubic through the same data at 0.3
+    a = 0.61803
+    knots = np.array([0.0, 0.3, 1.0])
+    d_fn = lambda r: 10.0 - TWO_PI * (r * r / 2.0 + (r - a) ** 3 / 3.0 - 4e-10 * r)
+    d_der = lambda r: -TWO_PI * (r + (r - a) ** 2 - 4e-10)
+    c = RadialFunction(knots, knots * knots / 2.0, knots, parity="even")
+    d = RadialFunction(knots, np.array([d_fn(0.0) + 0.05, d_fn(0.3), d_fn(1.0)]),
+                       np.array([0.0, d_der(0.3), d_der(1.0)]), parity="even")
+    return rt.RotForm(1.0, 1.0, c, d)
+
+
+def narrow_dip_form() -> rt.RotForm:
+    # c = r^2/2, so W/r = d - r d'/2.  On [0.3, 1], d = 960 - 1e-9 - 4800 r
+    # - (40000/9) r^3 gives W/r = 960 - 1e-9 - 2400 r + (20000/9) r^3, whose
+    # minimum -1e-9 at r = 0.6 is negative only over a width of about 1e-6;
+    # on [0, 0.3], d = 300 - 10000 r^2 keeps W/r = 300
+    knots = np.array([0.0, 0.3, 1.0])
+    k3 = 40000.0 / 9.0
+    d_fn = lambda r: 960.0 - 1e-9 - 4800.0 * r - k3 * r ** 3
+    d_der = lambda r: -4800.0 - 3.0 * k3 * r * r
+    c = RadialFunction(knots, knots * knots / 2.0, knots, parity="even")
+    d = RadialFunction(knots, np.array([300.0, d_fn(0.3), d_fn(1.0)]),
+                       np.array([0.0, d_der(0.3), d_der(1.0)]), parity="even")
+    return rt.RotForm(1.0, 1.0, c, d)
+
+
 # -- Reeb field -------------------------------------------------------------
 
 def test_plug_reeb_field_exact():
@@ -108,6 +138,14 @@ def test_contact_check_raises():
     d = RadialFunction(r, (1.0 - r * r) ** 2, -4.0 * r * (1.0 - r * r),
                        parity="even")
     form = rt.RotForm(1.2, 1.0, c, d)
+    with pytest.raises(rt.ContactError):
+        rt.contact_check(form)
+
+
+def test_contact_check_catches_narrow_dip():
+    form = narrow_dip_form()
+    r = np.linspace(0.599, 0.601, 20001)
+    assert np.min(form.wronskian(r) / r) < 0.0    # the dip is real
     with pytest.raises(rt.ContactError):
         rt.contact_check(form)
 
@@ -233,7 +271,7 @@ def test_section_errors():
 
 def test_orbit_enumerate_plug_band():
     form = quad_plug_form(L=0.5, R=1.0)
-    records = rt.orbit_enumerate(form, t_max=1.2, q_max=3, n_grid=2000)
+    records = rt.orbit_enumerate(form, t_max=1.2, q_max=3)
     kinds = sorted(o.kind for o in records)
     assert kinds == ["core", "resonant-torus"]
     core = next(o for o in records if o.kind == "core")
@@ -249,7 +287,7 @@ def test_orbit_enumerate_plug_band():
 
 def test_orbit_enumerate_binding_band():
     form = binding_inner_form(delta=0.1)
-    records = rt.orbit_enumerate(form, t_max=3.0, q_max=2, n_grid=2000)
+    records = rt.orbit_enumerate(form, t_max=3.0, q_max=2)
     assert sorted(o.kind for o in records) == ["core", "resonant-torus"]
     assert all(o.period == pytest.approx(1.0, abs=1e-11) for o in records)
     band = next(o for o in records if o.kind == "resonant-torus")
@@ -260,7 +298,7 @@ def test_orbit_enumerate_binding_band():
 
 def test_orbit_enumerate_isolated_resonances():
     form = quartic_d_form()
-    records = rt.orbit_enumerate(form, t_max=6.0, q_max=3, n_grid=4000)
+    records = rt.orbit_enumerate(form, t_max=6.0, q_max=3)
     tori = [o for o in records if o.kind == "resonant-torus"]
     # (0,1) is the boundary torus: d'(1) = 0 exactly, so u(1) = 0, T = W/c' = 1
     assert sorted((o.p, o.q) for o in tori) == [(0, 1), (1, 2), (1, 3)]
@@ -280,19 +318,38 @@ def test_orbit_enumerate_isolated_resonances():
     assert core.period == pytest.approx(2.0, abs=1e-12)  # P * d(0) = 1 * 2
 
     # tighter caps prune long-period tori; a short t_max leaves the boundary
-    fewer = rt.orbit_enumerate(form, t_max=6.0, q_max=2, n_grid=4000)
+    fewer = rt.orbit_enumerate(form, t_max=6.0, q_max=2)
     assert sorted((o.p, o.q) for o in fewer if o.kind == "resonant-torus") == \
         [(0, 1), (1, 2)]
-    short = rt.orbit_enumerate(form, t_max=1.5, q_max=3, n_grid=4000)
+    short = rt.orbit_enumerate(form, t_max=1.5, q_max=3)
     assert [(o.p, o.q) for o in short] == [(0, 1)]
 
 
+def test_orbit_enumerate_finds_close_tori():
+    form = close_tori_form()
+    records = rt.orbit_enumerate(form, t_max=40.0, q_max=1)
+    tori = sorted(o.r for o in records
+                  if (o.p, o.q) == (1, 1) and not o.is_band())
+    assert len(tori) == 2
+    assert tori[0] == pytest.approx(0.61803 - 2e-5, abs=1e-9)
+    assert tori[1] == pytest.approx(0.61803 + 2e-5, abs=1e-9)
+    assert rt.tmin(form, t_max=40.0, q_max=1).value == pytest.approx(10.0, abs=1e-8)
+
+
 def test_tmin_plug():
-    est = rt.tmin(quad_plug_form(L=0.5), t_max=2.0, q_max=2, n_grid=1500)
+    est = rt.tmin(quad_plug_form(L=0.5), t_max=2.0, q_max=2)
     assert est.value == pytest.approx(0.5, abs=1e-12)
     assert est.kind == "core"
     assert est.heuristic
-    assert (est.t_max, est.q_max, est.n_grid) == (2.0, 2, 1500)
+    assert (est.t_max, est.q_max) == (2.0, 2)
+
+
+def test_tmin_complete_search_is_not_heuristic():
+    # c'/W = 1/L = 2, so at most q_cap = ceil(2.0 * 2 / 0.5) = 4 core turns
+    # fit below t_max; d' = 0 keeps the disk-turn bound at 0
+    est = rt.tmin(quad_plug_form(L=0.5), t_max=2.0, q_max=4)
+    assert est.value == pytest.approx(0.5, abs=1e-12)
+    assert not est.heuristic
 
 
 # -- volume -----------------------------------------------------------------
