@@ -644,6 +644,11 @@ class PiecewisePoly:
         c, e = _div(c, e, h[:, None], eh[:, None])
         return PiecewisePoly(self.lo, self.hi, c, e)
 
+    def integral(self) -> float:
+        """The integral over all pieces: sum of (hi - lo) sum_k coef[:, k]/(k + 1)."""
+        w = 1.0 / np.arange(1, self.coef.shape[1] + 1)
+        return float(np.sum((self.hi - self.lo) * (self.coef @ w)))
+
     # -- decisions ----------------------------------------------------
 
     def _core_factored(self, *others: "PiecewisePoly"):

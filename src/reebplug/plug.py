@@ -65,10 +65,9 @@ class PlugSystem:
             return gauss_piecewise(
                 lambda r: 2.0 * math.pi * r * (self.L + self.sigma.radial_profile(r)),
                 prof.knots, 0.0, self.radius, npts=6)
-        res = integrate_disk(
+        return integrate_disk(
             lambda x, y: self.L + self.sigma(np.asarray(x) + 1j * np.asarray(y)),
-            self.radius)
-        return res.value
+            self.radius).require()
 
     def to_dict(self) -> dict:
         return {"L": self.L, "radius": self.radius, "map": self.map.to_dict()}

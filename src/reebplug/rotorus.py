@@ -7,9 +7,10 @@ condition W = c'd - cd' > 0 is closed-form: the Reeb field rotates both
 angles at r-dependent rates, the return systems of the two natural
 sections have explicit time and shift, closed orbits sit on resonant
 tori found as the closed-form roots of a quadratic per knot interval,
-and the volume reduces to a 1D integral of W (cross-checked two more
-ways).  The sign conditions (W > 0, transversality) are decided by the
-piecewise-polynomial kernel, not sampled.
+and the volume is 2*pi*P times the exact integral of W (cross-checked
+by integrating the return time over a section).  The sign conditions
+(W > 0, transversality) are decided by the piecewise-polynomial
+kernel, not sampled.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class RotForm:
                    RadialFunction.from_dict(data["c"]),
                    RadialFunction.from_dict(data["d"]),
                    float(data.get("kappa", 1.0)))
-
-
-def _knot_union(form: RotForm) -> np.ndarray:
-    ks = np.union1d(form.c.knots, form.d.knots)
-    return ks[(ks >= 0.0) & (ks <= form.radius)]
 
 
 def _coefficients(form: RotForm) -> tuple[PiecewisePoly, PiecewisePoly]:
@@ -501,12 +497,13 @@ def tmin(form: RotForm, t_max: float, q_max: int) -> TminEstimate:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class VolumeTriple:
-    """The same volume three ways; spread is the worst pairwise mismatch."""
+class Volume:
+    """The contact volume and its cross-check over the named section;
+    spread is their relative mismatch."""
 
     closed_form: float
     section: float
-    quadrature: float
+    section_name: str
 
     @property
     def value(self) -> float:
@@ -514,49 +511,32 @@ class VolumeTriple:
 
     @property
     def spread(self) -> float:
-        vals = (self.closed_form, self.section, self.quadrature)
-        lo, hi = min(vals), max(vals)
-        return (hi - lo) / max(abs(lo), abs(hi), 1e-300)
+        return abs(self.closed_form - self.section) / max(
+            abs(self.closed_form), abs(self.section), 1e-300)
+
+    def to_dict(self) -> dict:
+        return {"closed_form": self.closed_form, "section": self.section,
+                "section_name": self.section_name, "spread": self.spread}
 
 
-def volume(form: RotForm, n_simpson: int = 8193, n_angle: int = 24) -> VolumeTriple:
-    """vol = integral of alpha ^ dalpha over the solid torus, three ways.
+def volume(form: RotForm) -> Volume:
+    """vol = integral of alpha ^ dalpha over the solid torus, two ways.
 
-    (1) exact reduction 2*pi*P*int W dr with per-knot-interval Gauss;
-    (2) int tau dalpha over a section, using the return-system tau
-        (core-angle section when transverse, else disk-angle);
-    (3) a 3D tensor quadrature assembling the wedge coefficient at
-        every (r, phi, psi) node: Simpson in r (ignoring the knots),
-        uniform midpoint in both angles.
+    closed_form: 2*pi*P times the exact per-piece integral of the
+    decided W = c'd - cd'.  section: the integral of tau dalpha over
+    the core-angle section when it is transverse, else the disk-angle
+    one, using the return-system tau; its integrand is P W (or 2*pi W)
+    of degree 5 per knot interval, so 3-point Gauss is exact.
     """
-    _contact(form)
+    W = _contact(form)[2]
     R, P = form.radius, form.core_period
-    breaks = _knot_union(form)
-
-    v1 = DISK_PERIOD * P * gauss_piecewise(
-        lambda r: form.wronskian(r), breaks, 0.0, R, npts=4)
-
+    closed = DISK_PERIOD * P * W.integral()
     try:
         sys = return_system(form, "core-angle")
-        v2 = DISK_PERIOD * gauss_piecewise(
-            lambda r: sys.tau(r) * form.c.derivative(r), breaks, 0.0, R, npts=12)
+        section = DISK_PERIOD * gauss_piecewise(
+            lambda r: sys.tau(r) * form.c.derivative(r), W.knots, 0.0, R, npts=3)
     except SectionError:
         sys = return_system(form, "disk-angle")
-        v2 = P * gauss_piecewise(
-            lambda r: sys.tau(r) * np.abs(form.d.derivative(r)),
-            breaks, 0.0, R, npts=12)
-
-    if n_simpson % 2 == 0:
-        n_simpson += 1
-    rr = np.linspace(0.0, R, n_simpson)
-    w = np.ones(n_simpson)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (R / (n_simpson - 1)) / 3.0
-    # wedge coefficient of dr^dphi^dpsi assembled from the raw pieces
-    coeff = (form.d(rr) * form.c.derivative(rr)
-             - form.c(rr) * form.d.derivative(rr))
-    ang_w = np.full(n_angle, DISK_PERIOD / n_angle)
-    core_w = np.full(n_angle, P / n_angle)
-    v3 = float(np.einsum("i,j,k->", w * coeff, ang_w, core_w))
-
-    return VolumeTriple(float(v1), float(v2), v3)
+        section = P * gauss_piecewise(
+            lambda r: sys.tau(r) * np.abs(form.d.derivative(r)), W.knots, 0.0, R, npts=3)
+    return Volume(closed, section, sys.section)

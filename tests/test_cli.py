@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from reebplug import plug as plug_module
 from reebplug.cli import main
-from reebplug.diskmap import DiskMap, RadialTwist
-from reebplug.numerics import RadialFunction
+from reebplug.diskmap import BumpHarmonic, DiskMap, HamiltonianStep, RadialTwist
+from reebplug.numerics import NonConvergenceError, QuadResult, RadialFunction
 from reebplug.rotorus import RotForm
 
 DESIGN = ["profile", "design", "--s", "0.01", "--delta", "0.1",
@@ -109,6 +110,16 @@ def test_rotorus_analyze_binding(tmp_path):
     assert data["sections"]["disk-angle"]["tau_at_0"] == pytest.approx(
         1.0, abs=1e-12)
     assert data["t_min"]["value"] == pytest.approx(1.0 / 1.1, rel=1e-9)
+    # analysis.json and volume.json carry the same two volume legs
+    rc = main(["rotorus", "volume", str(tmp_path / "binding_form.json"),
+               "--tol", "1e-12", "--out", str(tmp_path / "vol")])
+    assert rc == 0
+    vol = json.loads((tmp_path / "vol" / "volume.json").read_text())
+    for legs in (data["volume"], vol):
+        assert {"closed_form", "section"} <= set(legs)
+        assert "quadrature" not in legs
+        assert legs["section_name"] == "disk-angle"
+    assert vol["closed_form"] == data["volume"]["closed_form"]
 
 
 def test_disk_act_and_cal(tmp_path, capsys):
@@ -167,8 +178,19 @@ def test_plug_realize_and_volume(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 0
     vol = json.loads((tmp_path / "plug_volume.json").read_text())
-    assert vol["spread"] < 1e-6
-    assert "realized" in vol
+    assert vol["spread"] <= 1e-9
+    assert "quadrature" not in vol["realized"]
+
+
+def test_unconverged_disk_quadrature_is_a_check_failure(tmp_path, monkeypatch):
+    ham = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.7),), time=1.0),))
+    plug_file = write_plug(tmp_path / "plug.json", ham.to_dict())
+    monkeypatch.setattr(plug_module, "integrate_disk",
+                        lambda fn, radius: QuadResult(1.0, 1e-3, False))
+    with pytest.raises(NonConvergenceError):
+        plug_module.PlugSystem.from_dict(json.loads(plug_file.read_text())).volume_quadrature()
+    assert main(["plug", "volume", str(plug_file), "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "plug_volume.json").exists()
 
 
 def test_plug_rescale(tmp_path):

@@ -414,3 +414,30 @@ def test_extreme_and_roots_closed_forms():
     K = RadialFunction(r, r ** 3 / 3.0 - r ** 2 / 3.0, r * r - 2.0 * r / 3.0)
     assert np.allclose(PiecewisePoly.from_radial(K).derivative().roots(), [2.0 / 3.0],
                        atol=1e-14)
+
+
+def _exact_integral(pieces, lo, hi):
+    return sum((Fraction(h) - Fraction(l)) * sum(c / (k + 1) for k, c in enumerate(a))
+               for a, l, h in zip(pieces, lo, hi))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integral_matches_exact(seed):
+    rng = np.random.default_rng(seed)
+    f = _random_hermite(rng, at_core=seed % 2 == 0)
+    g = _random_hermite(rng, at_core=False, knots=f.knots)
+    F, G = PiecewisePoly.from_radial(f), PiecewisePoly.from_radial(g)
+    ef, eg = _exact_pieces(f), _exact_pieces(g)
+    efp, egp = _exact_derivative(ef, f.knots), _exact_derivative(eg, g.knots)
+    W = F.derivative() * G - F * G.derivative()
+    ew = [[p - q for p, q in zip(_exact_mul(a, b), _exact_mul(c, d))]
+          for a, b, c, d in zip(efp, eg, ef, egp)]
+    for poly, exact in ((F, ef), (W, ew)):
+        h = poly.hi - poly.lo
+        w = 1.0 / np.arange(1, poly.coef.shape[1] + 1)
+        n = poly.lo.size + poly.coef.shape[1] + 2
+        gamma = n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53)
+        # the data's error bounds, plus rounding of h, 1/(k + 1) and the sums
+        bound = np.sum(h * (poly.err @ w)) + gamma * np.sum(h * (np.abs(poly.coef) @ w))
+        gap = abs(Fraction(poly.integral()) - _exact_integral(exact, poly.lo, poly.hi))
+        assert gap <= Fraction(float(bound)), (seed, float(gap), float(bound))

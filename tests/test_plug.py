@@ -213,9 +213,9 @@ def test_realize_twist_reproduces_return_system():
 def test_realize_volume_three_ways():
     plug = make_plug(twist_map(4.0), 1.0)
     form = realize_rotational(plug.map.combined_profile(), L=1.0, R=1.0)
-    triple = volume(form)
-    assert triple.spread < 1e-6
-    assert triple.value == pytest.approx(plug.volume(), abs=1e-7)
+    vol = volume(form)
+    assert vol.spread < 1e-12
+    assert vol.value == pytest.approx(plug.volume(), abs=1e-7)
 
 
 def test_realize_rejects_nonpositive_tau():
