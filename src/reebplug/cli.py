@@ -9,6 +9,7 @@ atomically (temp file plus rename) into --out.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -467,7 +468,9 @@ def _io_flags(p: argparse.ArgumentParser, fmt: str = "json,csv,svg") -> None:
                    help="override the pass threshold where one applies")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="reebplug",
         description="profiles, rotational Reeb flows, disk-map plugs, "

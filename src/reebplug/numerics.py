@@ -659,23 +659,21 @@ class PiecewisePoly:
         core = np.flatnonzero(self.lo == 0.0)
         if core.size == 0:
             return polys
-        zs = []
-        for i in core:
-            z = []
-            for p in polys:
-                exact0 = (p.coef[i] == 0.0) & (p.err[i] == 0.0)
-                if not exact0.all():
-                    z.append(int(np.argmin(exact0)))
-            zs.append(min(z, default=0))
-        if not any(zs):
+        n = max(p.coef.shape[1] for p in polys)   # no zero count reaches it
+        z = np.full(core.size, n)
+        for p in polys:
+            exact0 = (p.coef[core] == 0.0) & (p.err[core] == 0.0)
+            z = np.where(exact0.all(axis=1), z, np.minimum(z, np.argmin(exact0, axis=1)))
+        z[z == n] = 0
+        if not z.any():
             return polys
         out = []
         for p in polys:
             c, e = p.coef.copy(), p.err.copy()
-            for i, z in zip(core, zs):
-                if z:
-                    c[i, :-z], c[i, -z:] = p.coef[i, z:], 0.0
-                    e[i, :-z], e[i, -z:] = p.err[i, z:], 0.0
+            for k in np.unique(z[z > 0]):
+                i = core[z == k]
+                c[i, :-k], c[i, -k:] = p.coef[i, k:], 0.0
+                e[i, :-k], e[i, -k:] = p.err[i, k:], 0.0
             out.append(PiecewisePoly(p.lo, p.hi, c, e))
         return tuple(out)
 
@@ -768,13 +766,17 @@ class PiecewisePoly:
             m[better], r_m[better] = mk[better], rk[better]
         return (-m if largest else m), r_m
 
-    def roots(self) -> np.ndarray:
+    def roots(self, groups: np.ndarray | None = None):
         """Sorted real roots of a contiguous function of degree <= 2.
 
         Closed form per piece; a root on a shared knot is reported once,
         and pieces that vanish identically contribute none.  As in
         `failures`, exact zeros at r = 0 are factored out first, so a
         root that parity forces at the core is not reported.
+
+        With per-piece group labels, each group is its own contiguous
+        function: returns (roots, labels), sorted by label and then root,
+        with the shared-knot merge applied within a group only.
         """
         (p,) = self._core_factored()
         c = _pad(p.coef, 3)
@@ -783,9 +785,16 @@ class PiecewisePoly:
         t = _quadratic_roots(c[:, :3])
         ok = (t >= -_ROOT_SLACK) & (t <= 1.0 + _ROOT_SLACK)
         r = self.lo[:, None] + np.clip(t, 0.0, 1.0) * (self.hi - self.lo)[:, None]
-        r = np.sort(r[ok])
-        gap = _ROOT_SLACK * max(1.0, abs(self.hi[-1]))
-        return r[np.concatenate([[True], np.diff(r) > gap])] if r.size > 1 else r
+        g = np.zeros(self.lo.size, dtype=int) if groups is None else np.asarray(groups)
+        r, rg = r[ok], np.broadcast_to(g[:, None], ok.shape)[ok]
+        order = np.lexsort((r, rg))
+        r, rg = r[order], rg[order]
+        span = np.zeros(int(g.max()) + 1 if g.size else 0)
+        np.maximum.at(span, g, np.abs(self.hi))
+        gap = _ROOT_SLACK * np.maximum(1.0, span[rg])
+        keep = np.ones(r.size, dtype=bool)
+        keep[1:] = (rg[1:] != rg[:-1]) | (np.diff(r) > gap[1:])
+        return r[keep] if groups is None else (r[keep], rg[keep])
 
 
 def gauss_rule(n: int):

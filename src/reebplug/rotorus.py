@@ -279,7 +279,12 @@ def return_system(form: RotForm, section: str) -> ReturnSystem:
     except KeyError:
         raise ValueError(f"unknown section {section!r}; "
                          "use 'disk-angle' or 'core-angle'") from None
-    c, d = _coefficients(form)
+    return _transverse(form, sec, *_coefficients(form))
+
+
+def _transverse(form: RotForm, sec: str, c: PiecewisePoly, d: PiecewisePoly) -> ReturnSystem:
+    """The return system on section sec, after deciding its transversality
+    from the coefficients c and d already built; raises SectionError."""
     if sec == "core-angle":
         r_bad = c.derivative().positive()
         if r_bad is not None:
@@ -320,53 +325,36 @@ class OrbitRecord:
         return self.r_hi > self.r_lo
 
 
-def _closure_residual(form: RotForm, r: float, period: float) -> tuple[int, int, float]:
-    """Flow for one period and measure closure of both angles."""
-    _, phi, psi = exact_flow(form, (r, 0.0, 0.0), period)
-    p = int(round(phi / DISK_PERIOD))
-    q = int(round(psi / form.core_period))
-    res = max(abs(phi - p * DISK_PERIOD), abs(psi - q * form.core_period))
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    return p, q, res
+def _closure(form: RotForm, r: np.ndarray, period: np.ndarray):
+    """(p, q, residual) per radius: flow the exact Reeb field for its
+    period and measure the closure of both angles; (p, q) canonical."""
+    rate_disk, rate_core = angular_rates(form, r)
+    phi, psi = rate_disk * period, rate_core * period
+    p, q = np.round(phi / DISK_PERIOD), np.round(psi / form.core_period)
+    res = np.maximum(np.abs(phi - p * DISK_PERIOD), np.abs(psi - q * form.core_period))
+    sign = np.where((q < 0) | ((q == 0) & (p < 0)), -1, 1)
+    return sign * p.astype(int), sign * q.astype(int), res
 
 
-def _torus_period(form: RotForm, r: float, p: int, q: int) -> float:
-    """Minimal period at a (p, q)-resonant radius."""
-    W = float(form.wronskian(r))
-    if q != 0:
-        return q * form.core_period * W / abs(float(form.c.derivative(r)))
-    return abs(p) * DISK_PERIOD * W / abs(float(form.d.derivative(r)))
+def _torus_period(form: RotForm, r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Minimal period at (p, q)-resonant radii."""
+    W = form.wronskian(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core = q * form.core_period * W / np.abs(form.c.derivative(r))
+        disk = np.abs(p) * DISK_PERIOD * W / np.abs(form.d.derivative(r))
+    return np.where(q != 0, core, disk)
 
 
-def _record_torus(form: RotForm, r: float, p: int, q: int, t_max: float,
-                  r_lo: float | None = None, r_hi: float | None = None,
-                  tol: float = 1e-8) -> tuple[OrbitRecord | None, bool]:
-    """(record, dropped): no record beyond t_max, nor when the exact flow
-    fails to close to tol, which also sets dropped."""
-    period = _torus_period(form, r, p, q)
-    if not (0.0 < period <= t_max):
-        return None, False
-    p_rec, q_rec, res = _closure_residual(form, r, period)
-    if res > tol * max(1.0, period):
-        warnings.warn(f"orbit candidate at r = {r:.6g} failed closure "
-                      f"re-verification (residual {res:.2e})")
-        return None, True
-    return OrbitRecord("resonant-torus", r, p_rec, q_rec, period,
-                       r if r_lo is None else r_lo,
-                       r if r_hi is None else r_hi, res), False
-
-
-def _coprime_pairs(p_max: int, q_max: int):
-    """(p, q) in canonical form: q >= 1 with gcd(|p|, q) = 1, plus (1, 0)."""
-    yield 1, 0
-    for q in range(1, q_max + 1):
-        for p in range(-p_max, p_max + 1):
-            if math.gcd(abs(p), q) == 1:
-                yield p, q
+def _coprime_pairs(p_max: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) in canonical form: (1, 0), then q >= 1 with gcd(|p|, q) = 1,
+    ordered by q and then p."""
+    p, q = np.meshgrid(np.arange(-p_max, p_max + 1), np.arange(1, q_max + 1))
+    keep = np.gcd(p, q) == 1
+    return np.concatenate([[1], p[keep]]), np.concatenate([[0], q[keep]])
 
 
 _P_CLAMP = 10000
+_BLOCK_ROWS = 4096   # (pair, piece) rows per batched block of the search
 
 
 class OrbitSearch(list):
@@ -388,21 +376,22 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
     A radius is resonant for coprime (p, q) when q*(-d')/(2*pi) equals
     p*c'/P there (the rate-ratio condition cleared of its denominator W,
     so it has no poles).  That function is a quadratic on each knot
-    interval: its roots are found in closed form, a root on a shared
-    knot reported once, and intervals on which it vanishes identically
-    (to 1e-12 of its scale) merge into bands.  The turn bounds come from
-    the exact suprema of |d'|/W and |c'|/W.  Every record is re-verified
-    by closing the exact flow to 1e-8 in both angles.
+    interval.  The pairs are searched in blocks of about 4096 (pair,
+    piece) rows: one array pass decides which pieces vanish identically
+    (to 1e-12 of their scale; runs of them merge into bands) and which
+    can change sign, and one closed-form call solves all of the latter,
+    a root on a shared knot reported once per pair.  The turn bounds
+    come from the exact suprema of |d'|/W and |c'|/W.  Every record is
+    re-verified by closing the exact flow to 1e-8 in both angles.
     """
     if q_max < 0:
         raise ValueError("q_max must be >= 0")
     c, d, W = _contact(form)
     records: list[OrbitRecord] = []
-    dropped = 0
 
     core_T = form.core_period * float(form.d(0.0))
     if core_T <= t_max:
-        _, _, res = _closure_residual(form, 0.0, core_T)
+        res = float(_closure(form, np.zeros(1), np.array([core_T]))[2][0])
         records.append(OrbitRecord("core", 0.0, 0, 1, core_T, 0.0, 0.0, res))
 
     cp, dp = c.derivative(), d.derivative()
@@ -424,46 +413,59 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
     bern_q, bern_p = (coef @ to_bernstein for coef in (coef_q, coef_p))
     ends_q, ends_p = np.abs(bern_q[:, ::2]), np.abs(bern_p[:, ::2])
     gap = 1e-12 * max(1.0, form.radius)
-    for p, q in _coprime_pairs(p_max, q_eff):
+    p_all, q_all = _coprime_pairs(p_max, q_eff)
+    block = max(1, _BLOCK_ROWS // cp.lo.size)
+    found = []   # candidate rows (pair, r, r_lo, r_hi), per block bands first
+    for start in range(0, p_all.size, block):
+        p = p_all[start:start + block, None, None]
+        q = q_all[start:start + block, None, None]
         g = q * coef_q - p * coef_p
         b = q * bern_q - p * bern_p
-        b_lo = np.minimum(np.minimum(b[:, 0], b[:, 1]), b[:, 2])
-        b_hi = np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2])
-        scale = abs(q) * ends_q + abs(p) * ends_p
-        tol = 1e-12 * np.maximum(scale[:, 0], scale[:, 1])
+        b_lo = np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
+        b_hi = np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2])
+        scale = np.abs(q) * ends_q + np.abs(p) * ends_p
+        tol = 1e-12 * np.maximum(scale[..., 0], scale[..., 1])
         # identically zero: |g| <= 1e-12 (|q| |coef_q| + |p| |coef_p|) on the piece
         zero = np.maximum(b_hi, -b_lo) <= tol
         bands = []
-        if zero.any():
+        for k in np.flatnonzero(zero.any(axis=1)):
             # maximal runs of identically resonant pieces are bands, with r
             # at the smallest period T = q P W/|c'| (q = 0: |p| 2 pi W/|d'|)
-            edge = np.diff(np.concatenate([[0], zero.astype(int), [0]]))
+            edge = np.diff(np.concatenate([[0], zero[k].astype(int), [0]]))
             for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
                 lo, hi = float(cp.lo[i]), float(cp.hi[j - 1])
-                rate, fn = (cp, form.c) if q != 0 else (dp, form.d)
+                rate, fn = (cp, form.c) if q_all[start + k] != 0 else (dp, form.d)
                 sign = 1.0 if fn.derivative(0.5 * (lo + hi)) > 0.0 else -1.0
                 r = W.restrict(lo, hi).extreme(rate.restrict(lo, hi) * sign)[1]
                 # a band closing onto the core never undercuts q times the
                 # core period there, and its tori need r > 0
-                rec, bad = _record_torus(form, r if r > 0.0 else hi, p, q, t_max,
-                                         r_lo=lo, r_hi=hi)
-                dropped += bad
-                if rec is not None:
-                    records.append(rec)
-                bands.append((lo - gap, hi + gap))
-        # roots only where the Bernstein coefficients can change sign
-        live = np.flatnonzero(~zero & (b_lo <= tol) & (b_hi >= -tol))
-        candidates = PiecewisePoly(cp.lo[live], cp.hi[live], g[live], np.zeros_like(g[live]))
-        for r in (candidates.roots() if live.size else ()):
-            if any(lo <= r <= hi for lo, hi in bands):
-                continue
-            rec, bad = _record_torus(form, float(r), p, q, t_max)
-            dropped += bad
-            if rec is not None:
-                records.append(rec)
+                bands.append((start + k, r if r > 0.0 else hi, lo, hi))
+        # roots only where the Bernstein coefficients can change sign; each
+        # pair is its own function, so a knot root merges within its pair
+        k, i = np.nonzero(~zero & (b_lo <= tol) & (b_hi >= -tol))
+        live = PiecewisePoly(cp.lo[i], cp.hi[i], g[k, i], np.zeros((k.size, g.shape[2])))
+        r, own = live.roots(groups=k)
+        inside = np.zeros(r.size, dtype=bool)
+        for pair, _, lo, hi in bands:
+            inside |= (own == pair - start) & (lo - gap <= r) & (r <= hi + gap)
+        found += [np.array(bands).reshape(-1, 4),
+                  np.stack([start + own, r, r, r], axis=1)[~inside]]
+    pair, r, r_lo, r_hi = np.concatenate(found).T
+    p, q = p_all[pair.astype(int)], q_all[pair.astype(int)]
 
+    period = _torus_period(form, r, p, q)
+    keep = (period > 0.0) & (period <= t_max)
+    r, r_lo, r_hi, period = r[keep], r_lo[keep], r_hi[keep], period[keep]
+    p, q, res = _closure(form, r, period)
+    bad = ~(res <= 1e-8 * np.maximum(1.0, period))
+    for i in np.flatnonzero(bad):
+        warnings.warn(f"orbit candidate at r = {r[i]:.6g} failed closure "
+                      f"re-verification (residual {res[i]:.2e})")
+    records += [OrbitRecord("resonant-torus", float(r[i]), int(p[i]), int(q[i]),
+                            float(period[i]), float(r_lo[i]), float(r_hi[i]), float(res[i]))
+                for i in np.flatnonzero(~bad)]
     records.sort(key=lambda o: (o.period, o.r, o.q, o.p))
-    return OrbitSearch(records, q_cap, clamped, dropped)
+    return OrbitSearch(records, q_cap, clamped, int(bad.sum()))
 
 
 @dataclass(frozen=True)
@@ -528,15 +530,15 @@ def volume(form: RotForm) -> Volume:
     one, using the return-system tau; its integrand is P W (or 2*pi W)
     of degree 5 per knot interval, so 3-point Gauss is exact.
     """
-    W = _contact(form)[2]
+    c, d, W = _contact(form)
     R, P = form.radius, form.core_period
     closed = DISK_PERIOD * P * W.integral()
     try:
-        sys = return_system(form, "core-angle")
+        sys = _transverse(form, "core-angle", c, d)
         section = DISK_PERIOD * gauss_piecewise(
             lambda r: sys.tau(r) * form.c.derivative(r), W.knots, 0.0, R, npts=3)
     except SectionError:
-        sys = return_system(form, "disk-angle")
+        sys = _transverse(form, "disk-angle", c, d)
         section = P * gauss_piecewise(
             lambda r: sys.tau(r) * np.abs(form.d.derivative(r)), W.knots, 0.0, R, npts=3)
     return Volume(closed, section, sys.section)

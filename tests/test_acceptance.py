@@ -90,7 +90,7 @@ def test_criterion_1_volume_identity():
         closed = plug.L * math.pi * plug.radius ** 2 + calabi(plug.map)
         vol = volume(form)
         values = [vol.closed_form, vol.section]
-        worst_spread = max(worst_spread, vol.spread / abs(closed))
+        worst_spread = max(worst_spread, vol.spread)
         worst_closed = max(worst_closed,
                            max(abs(v - closed) for v in values))
     elapsed = time.perf_counter() - t0

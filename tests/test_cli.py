@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from reebplug import plug as plug_module
-from reebplug.cli import main
+from reebplug.cli import build_parser, main
 from reebplug.diskmap import BumpHarmonic, DiskMap, HamiltonianStep, RadialTwist
 from reebplug.numerics import NonConvergenceError, QuadResult, RadialFunction
 from reebplug.rotorus import RotForm
@@ -95,6 +95,23 @@ def test_rotorus_orbits_csv(tmp_path):
     assert lines[0] == "kind,r,p,q,T"
     kinds = [ln.split(",")[0] for ln in lines[1:]]
     assert "core" in kinds
+
+
+def test_parser_shared_without_leaking_arguments(tmp_path):
+    # the parser is built once; each call still parses into a fresh namespace
+    assert build_parser() is build_parser()
+    assert run(DESIGN + ["--format", "json", "--tol", "0.5"], tmp_path / "a") == 0
+    assert not (tmp_path / "a" / "tau.svg").exists()
+    rc = main(["rotorus", "orbits", str(tmp_path / "a" / "binding_form.json"),
+               "--tmax", "2", "--qmax", "3", "--out", str(tmp_path / "orb")])
+    assert rc == 0
+    assert {p.name for p in (tmp_path / "orb").iterdir()} == \
+        {"orbits.csv", "orbits.json", "orbits.svg"}
+    args = build_parser().parse_args(["rotorus", "orbits", "form.json"])
+    assert (args.format, args.tol, args.out) == ("json,csv,svg", None, ".")
+    assert not hasattr(args, "s")
+    assert run(DESIGN, tmp_path / "b") == 0
+    assert (tmp_path / "b" / "tau.svg").exists()
 
 
 def test_rotorus_analyze_binding(tmp_path):

@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from reebplug.numerics import RadialFunction, find_root_1d
+from reebplug.numerics import PiecewisePoly, RadialFunction, find_root_1d
 from reebplug import rotorus as rt
 
 TWO_PI = 2.0 * math.pi
@@ -334,6 +334,140 @@ def test_orbit_enumerate_finds_close_tori():
     assert tori[0] == pytest.approx(0.61803 - 2e-5, abs=1e-9)
     assert tori[1] == pytest.approx(0.61803 + 2e-5, abs=1e-9)
     assert rt.tmin(form, t_max=40.0, q_max=1).value == pytest.approx(10.0, abs=1e-8)
+
+
+# -- oracle: the pair-by-pair search that the batched one replaced -----------
+
+def _reference_record(form, r, p, q, t_max, r_lo=None, r_hi=None):
+    W = float(form.wronskian(r))
+    if q != 0:
+        period = q * form.core_period * W / abs(float(form.c.derivative(r)))
+    else:
+        period = abs(p) * TWO_PI * W / abs(float(form.d.derivative(r)))
+    if not (0.0 < period <= t_max):
+        return None, False
+    _, phi, psi = rt.exact_flow(form, (r, 0.0, 0.0), period)
+    p_rec = int(round(phi / TWO_PI))
+    q_rec = int(round(psi / form.core_period))
+    res = max(abs(phi - p_rec * TWO_PI), abs(psi - q_rec * form.core_period))
+    if q_rec < 0 or (q_rec == 0 and p_rec < 0):
+        p_rec, q_rec = -p_rec, -q_rec
+    if res > 1e-8 * max(1.0, period):
+        return None, True
+    return rt.OrbitRecord("resonant-torus", r, p_rec, q_rec, period,
+                          r if r_lo is None else r_lo,
+                          r if r_hi is None else r_hi, res), False
+
+
+def reference_orbit_enumerate(form, t_max, q_max):
+    """orbit_enumerate as it was before batching: one pass per (p, q)."""
+    c, d, W = rt._contact(form)
+    records, dropped = [], 0
+    core_T = form.core_period * float(form.d(0.0))
+    if core_T <= t_max:
+        _, phi, psi = rt.exact_flow(form, (0.0, 0.0, 0.0), core_T)
+        res = max(abs(phi - round(phi / TWO_PI) * TWO_PI),
+                  abs(psi - round(psi / form.core_period) * form.core_period))
+        records.append(rt.OrbitRecord("core", 0.0, 0, 1, core_T, 0.0, 0.0, res))
+    cp, dp = c.derivative(), d.derivative()
+    sup_d, sup_c = (max(rate.extreme(W, largest=True)[0], (-rate).extreme(W, largest=True)[0])
+                    for rate in (dp, cp))
+    p_max = int(math.ceil(t_max * sup_d / TWO_PI))
+    q_cap = int(math.ceil(t_max * sup_c / form.core_period))
+    q_eff = min(q_max, max(q_cap, 0))
+    clamped = p_max > 10000
+    p_max = min(p_max, 10000)
+    coef_q = -dp.coef / TWO_PI
+    coef_p = cp.coef / form.core_period
+    to_bernstein = np.array([[1.0, 1.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]])
+    bern_q, bern_p = (coef @ to_bernstein for coef in (coef_q, coef_p))
+    ends_q, ends_p = np.abs(bern_q[:, ::2]), np.abs(bern_p[:, ::2])
+    gap = 1e-12 * max(1.0, form.radius)
+    pairs = [(1, 0)] + [(p, q) for q in range(1, q_eff + 1)
+                        for p in range(-p_max, p_max + 1) if math.gcd(abs(p), q) == 1]
+    for p, q in pairs:
+        g = q * coef_q - p * coef_p
+        b = q * bern_q - p * bern_p
+        b_lo = np.minimum(np.minimum(b[:, 0], b[:, 1]), b[:, 2])
+        b_hi = np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2])
+        scale = abs(q) * ends_q + abs(p) * ends_p
+        tol = 1e-12 * np.maximum(scale[:, 0], scale[:, 1])
+        zero = np.maximum(b_hi, -b_lo) <= tol
+        bands = []
+        if zero.any():
+            edge = np.diff(np.concatenate([[0], zero.astype(int), [0]]))
+            for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
+                lo, hi = float(cp.lo[i]), float(cp.hi[j - 1])
+                rate, fn = (cp, form.c) if q != 0 else (dp, form.d)
+                sign = 1.0 if fn.derivative(0.5 * (lo + hi)) > 0.0 else -1.0
+                r = W.restrict(lo, hi).extreme(rate.restrict(lo, hi) * sign)[1]
+                rec, bad = _reference_record(form, r if r > 0.0 else hi, p, q, t_max,
+                                             r_lo=lo, r_hi=hi)
+                dropped += bad
+                if rec is not None:
+                    records.append(rec)
+                bands.append((lo - gap, hi + gap))
+        live = np.flatnonzero(~zero & (b_lo <= tol) & (b_hi >= -tol))
+        candidates = PiecewisePoly(cp.lo[live], cp.hi[live], g[live],
+                                      np.zeros_like(g[live]))
+        for r in (candidates.roots() if live.size else ()):
+            if any(lo <= r <= hi for lo, hi in bands):
+                continue
+            rec, bad = _reference_record(form, float(r), p, q, t_max)
+            dropped += bad
+            if rec is not None:
+                records.append(rec)
+    records.sort(key=lambda o: (o.period, o.r, o.q, o.p))
+    return records, q_cap, clamped, dropped
+
+
+def _designed_form(i: int) -> rt.RotForm:
+    from reebplug.profile import ProfileParams, design_profile, to_rotform
+    sets = [(0.01, 0.1, 0.5, 0.1, 0.3), (0.02, 0.05, 0.8, 0.15, 0.5),
+            (0.005, 0.2, 1.0, 0.05, 0.25)]
+    return to_rotform(design_profile(ProfileParams(*sets[i])))
+
+
+def _realized_twist_form() -> rt.RotForm:
+    from reebplug.plug import realize_rotational
+    return realize_rotational(RadialFunction.bump(3.5, 0.04), L=1.0, R=0.05)
+
+
+@pytest.mark.parametrize("build, t_max, q_max", [
+    (lambda: _designed_form(0), 12.0, 16),
+    (lambda: _designed_form(1), 12.0, 16),
+    (lambda: _designed_form(2), 12.0, 16),
+    (_realized_twist_form, 3.0, 3),
+    (lambda: quad_plug_form(L=0.5, R=1.0), 1.2, 3),
+    (lambda: binding_inner_form(delta=0.1), 3.0, 2),
+    (quartic_d_form, 6.0, 3),
+    (quartic_d_form, 1.5, 3),
+    (close_tori_form, 40.0, 1),
+], ids=["design0", "design1", "design2", "realized-twist", "plug-band",
+        "binding-band", "isolated", "isolated-short", "close-tori"])
+def test_orbit_enumerate_matches_pairwise_reference(build, t_max, q_max):
+    form = build()
+    found = rt.orbit_enumerate(form, t_max, q_max)
+    records, q_cap, clamped, dropped = reference_orbit_enumerate(form, t_max, q_max)
+    assert list(found) == records   # dataclass equality: floats bit for bit
+    assert (found.q_cap, found.clamped, found.dropped) == (q_cap, clamped, dropped)
+
+
+def test_grouped_roots_keep_each_pairs_knot_root():
+    # Two pairs whose resonance functions both vanish on the shared knot
+    # 0.5.  (A contact form cannot plant this: c' = d' = 0 there would
+    # make W vanish.)  Each pair reports its knot root once, and the two
+    # pairs' roots are not merged although they coincide.
+    lo = np.array([0.2, 0.5, 0.2, 0.5])
+    hi = np.array([0.5, 0.8, 0.5, 0.8])
+    # g0 = r - 0.5 and g1 = (0.5 - r)(r - 0.3) in the local variable t
+    coef = np.array([[-0.3, 0.3, 0.0], [0.0, 0.3, 0.0],
+                     [-0.03, 0.12, -0.09], [0.0, -0.06, -0.09]])
+    poly = PiecewisePoly(lo, hi, coef, np.zeros_like(coef))
+    r, pair = poly.roots(groups=np.array([0, 0, 1, 1]))
+    assert pair.tolist() == [0, 1, 1]
+    assert r == pytest.approx([0.5, 0.3, 0.5], abs=1e-12)
+    assert poly.roots() == pytest.approx([0.3, 0.5], abs=1e-12)
 
 
 def test_tmin_plug():
