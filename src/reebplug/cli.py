@@ -282,19 +282,25 @@ def _cmd_disk_cal(args) -> int:
 
 def _cmd_disk_periodic(args) -> int:
     phi = _load_map(args.map)
+    orbits = periodic_points(phi, args.kmax)
     # T is the suspension period at unit fiber: k + action along orbit
-    rows = [_map_orbit_row(o, o.period + o.action_sum)
-            for o in periodic_points(phi, args.kmax)]
+    rows = [_map_orbit_row(o, o.period + o.action_sum) for o in orbits]
     out = _out_dir(args)
     kinds = _formats(args)
     if "csv" in kinds:
         _write_text(out / "periodic.csv", _orbit_csv(rows))
     if "json" in kinds:
         _write_json(out / "periodic.json", {
-            "orbits": [{"kind": k, "r": r, "p": p, "q": q, "T": T}
-                       for k, r, p, q, T in rows],
-            "context": {"k_max": args.kmax, "fiber": 1.0}})
-    print(f"periodic: {len(rows)} orbits up to period {args.kmax}")
+            "orbits": [{"kind": k, "r": r, "p": p, "q": q, "T": T,
+                        "r_lo": o.r_lo, "r_hi": o.r_hi}
+                       for (k, r, p, q, T), o in zip(rows, orbits)],
+            "context": {"k_max": args.kmax, "fiber": 1.0,
+                        "method": ("closed-form families" if phi.is_radial
+                                   else "newton grid"),
+                        "families": "one entry per family; r_lo and r_hi "
+                                    "bound its radii, equal for a point "
+                                    "or circle"}})
+    print(f"periodic: {len(rows)} orbit families up to period {args.kmax}")
     return 0
 
 
@@ -395,7 +401,7 @@ def _cmd_plug_realize(args) -> int:
     form = realize_rotational(plug.map.combined_profile(), plug.L,
                               plug.radius, n_knots=args.knots)
     _write_json(_out_dir(args) / "form.json", form.to_dict())
-    print(f"realized: contact margin {contact_check(form):.9g}, "
+    print(f"realized: contact margin {form.contact_margin:.9g}, "
           f"core period {form.core_period * float(form.d(0.0)):.9g}")
     return 0
 

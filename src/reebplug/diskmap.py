@@ -28,6 +28,11 @@ along the composition:
 
 Line integrals of phi*lam - lam along rays and arcs are kept only as an
 independent check of sigma (`ActionField.path_independence_check`).
+
+Periodic points come one record per family.  For a radial map they are
+closed forms too: the origin, the circles where k rho = 2 pi p and the
+bands where that holds identically; other maps run a seeded Newton
+search.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 
 from .numerics import (
     OdeSpec,
+    PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
     gauss_rule,
@@ -682,20 +688,123 @@ def calabi(phi: DiskMap, lam: PrimitiveOneForm = LAM0,
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
+    """One periodic family: its first point, minimal period k, the lam0
+    action summed along the orbit of that point, the orbit, the closure
+    residual |phi^k(z) - z|, and the radius range [r_lo, r_hi] it covers
+    (a band of a radial map; r_lo = r_hi = |point| for a point or circle)."""
+
     point: complex
     period: int
     action_sum: float
     orbit: tuple[complex, ...]
     residual: float
+    r_lo: float
+    r_hi: float
+
+
+_ZERO_REL = 1e-12   # a piece within this share of its scale of zero is identically zero
+
+
+def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
+    """The periodic families of a radial map of period <= k_max, in closed form.
+
+    On each piece rho is a cubic; kappa = k rho - 2 pi p is formed for
+    every coprime (p, k) whose 2 pi p / k lies in the piece's Bernstein
+    range.  Pieces on which kappa vanishes identically (|Bernstein
+    coefficients| <= 1e-12 of the end scale k |rho| + 2 pi |p|, the rule
+    of `rotorus.orbit_enumerate`), and the flat tail beyond the support
+    for k = 1, merge into bands; the other roots of kappa are circles.
+    """
+    R = phi.radius
+    prof = phi.combined_profile()
+    rho = PiecewisePoly.from_radial(prof, upto=R)
+    if rho.hi[-1] > R:
+        rho = rho.restrict(0.0, R)
+    n = rho.lo.size
+    B = rho.bernstein()[0]
+    two_pi = 2.0 * math.pi
+    ks = np.arange(1, k_max + 1)[:, None]
+    # every p that the zero rule below can keep: 2 pi p within its
+    # tolerance of the piece's range of k rho
+    top = np.abs(B).max(axis=1)
+    slack = 2.0 * _ZERO_REL * (ks * top + two_pi)
+    p_lo = np.ceil((ks * B.min(axis=1) - slack) / two_pi).astype(int)
+    p_hi = np.floor((ks * B.max(axis=1) + slack) / two_pi).astype(int)
+    count = np.maximum(p_hi - p_lo + 1, 0).ravel()
+    first = np.repeat(np.cumsum(count) - count, count)
+    k = np.repeat(np.broadcast_to(ks, p_lo.shape).ravel(), count)
+    i = np.repeat(np.broadcast_to(np.arange(n), p_lo.shape).ravel(), count)
+    p = np.repeat(p_lo.ravel(), count) + np.arange(count.sum()) - first
+    keep = np.gcd(p, k) == 1
+    k, i, p = k[keep], i[keep], p[keep]
+    b = k[:, None] * B[i] - two_pi * p[:, None]
+    scale = k[:, None] * np.abs(B[i][:, [0, -1]]) + two_pi * np.abs(p)[:, None]
+    tol = _ZERO_REL * scale.max(axis=1)
+    zero = np.abs(b).max(axis=1) <= tol
+    if prof.knots[-1] < R:   # past the support the map is the identity
+        zero |= (i == n - 1) & (k == 1) & (p == round(float(prof.values[-1]) / two_pi))
+    live = ~zero & (b.min(axis=1) <= tol) & (b.max(axis=1) >= -tol)
+
+    # bands: runs of consecutive zero pieces of one (k, p)
+    z = np.flatnonzero(zero)
+    z = z[np.lexsort((i[z], p[z], k[z]))]
+    start = np.ones(z.size, dtype=bool)
+    start[1:] = (k[z][1:] != k[z][:-1]) | (p[z][1:] != p[z][:-1]) | (i[z][1:] != i[z][:-1] + 1)
+    stop = np.append(start[1:], True)[:z.size]
+    band_k, band_p = k[z][start], p[z][start]
+    band_lo, band_hi = rho.lo[i[z][start]], rho.hi[i[z][stop]]
+
+    # circles: roots of kappa, each (k, p) its own function
+    j = np.flatnonzero(live)
+    rows = PiecewisePoly(rho.lo[i[j]], rho.hi[i[j]], rho.coef[i[j]], rho.err[i[j]])
+    key = k[j] * (2 * np.abs(p).max(initial=0) + 1) + p[j]   # one label per (k, p)
+    _, one, label = np.unique(key, return_index=True, return_inverse=True)
+    pairs = np.column_stack([k[j][one], p[j][one]])
+    r, g = (rows * k[j].astype(float) - two_pi * p[j]).roots(groups=label)
+    gap = _ZERO_REL * max(1.0, R)
+    inside = r <= 0.0     # the origin is a fixed point, reported on its own
+    for bk, bp, lo, hi in zip(band_k, band_p, band_lo, band_hi):
+        inside |= ((pairs[g, 0] == bk) & (pairs[g, 1] == bp)
+                   & (lo - gap <= r) & (r <= hi + gap))
+    fam_k = np.concatenate([band_k, pairs[g[~inside], 0]])
+    fam_lo = np.concatenate([band_lo, r[~inside]])
+    fam_hi = np.concatenate([band_hi, r[~inside]])
+    if not np.any((band_k == 1) & (band_lo == 0.0)):
+        fam_k, fam_lo, fam_hi = (np.append(fam_k, 1), np.append(fam_lo, 0.0),
+                                 np.append(fam_hi, 0.0))
+    order = np.lexsort((fam_hi, fam_lo, fam_k))
+    fam_k, fam_lo, fam_hi = fam_k[order], fam_lo[order], fam_hi[order]
+    # a family's point sits at its inner radius, except that the centre of
+    # a band from the core is a fixed point
+    at = np.where((fam_lo == 0.0) & (fam_k > 1), fam_hi, fam_lo)
+    turn = prof(at)
+    acts = fam_k * action(phi).radial_profile(at)
+    residual = at * np.abs(np.exp(1j * fam_k * turn) - 1.0)
+    return [PeriodicOrbit(complex(a), int(kk), float(s),
+                          tuple((a * np.exp(1j * np.arange(kk) * w)).tolist()),
+                          float(res), float(lo), float(hi))
+            for a, kk, s, w, res, lo, hi in zip(at, fam_k, acts, turn, residual,
+                                                  fam_lo, fam_hi)]
 
 
 def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
                     accept_tol: float = 1e-9, dedup_tol: float = 1e-6) -> list[PeriodicOrbit]:
-    """Polar-grid seeded Newton search for periodic points of period <= k_max.
+    """The periodic points of minimal period <= k_max, one record per family.
 
-    The seeds are the origin, then n_r radii up to R (1 - 1e-9) times
-    n_theta angles, radius-major.  For each k, Newton on phi^k - id runs
-    on all seeds at once with the chained variational Jacobian and a
+    Radial maps z -> z exp(i rho(|z|)) are solved in closed form, with no
+    map evaluation: the period-k points are the origin (k = 1), the
+    circles where k rho(r) = 2 pi p with gcd(p, k) = 1, and the bands
+    where k rho = 2 pi p identically (see `_radial_families`).  A circle
+    or band is one record, at its inner radius, with r_lo and r_hi; its
+    action sum is k sigma(r), sigma being constant on it, and its
+    residual is r |exp(i k rho(r)) - 1|.  The search is exact for
+    periods <= k_max; the grid and tolerance arguments are unused.
+    Records come for k ascending, then r ascending.
+
+    Every other map runs a polar-grid seeded Newton search.  The seeds
+    are the origin, then n_r radii up to R (1 - 1e-9) times n_theta
+    angles, radius-major.  For each k, Newton on phi^k - id runs on all
+    seeds at once with the chained variational Jacobian and a
     pseudo-inverse step (so circle continua of periodic points are
     handled), for at most 40 sweeps.  With scale = max(1, R), a seed
     stops and keeps its last iterate once |phi^k(z) - z| < 1e-12 scale,
@@ -709,10 +818,14 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
     candidate repeats a kept orbit when each of its points lies within
     dedup_tol of a point of that orbit.  Candidates are taken in seed
     order, so the first seed of an orbit wins, and the results come for
-    k ascending, in seed order within each k.  Action sums use lam0.
+    k ascending, in seed order within each k; a continuum is reported
+    once per seed that lands on it, each record with r_lo = r_hi =
+    |point|.  Action sums use lam0.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if phi.is_radial:
+        return _radial_families(phi, k_max)
     R = phi.radius
     scale = max(1.0, R)
     sig = action(phi)
@@ -754,5 +867,6 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
                 kept.append(i)
         acts = np.sum(sig(pts[kept]), axis=1)
         found.extend(PeriodicOrbit(complex(pts[i, 0]), k, float(a), tuple(pts[i].tolist()),
-                                   float(gap[i, k])) for i, a in zip(kept, acts))
+                                   float(gap[i, k]), float(abs(pts[i, 0])), float(abs(pts[i, 0])))
+                     for i, a in zip(kept, acts))
     return found

@@ -283,6 +283,7 @@ _U = 2.0 ** -53            # unit roundoff of binary64
 _SAFE = 1.0 + 2.0 ** -20   # covers the rounding of the error bounds themselves
 _MAX_DEPTH = 40            # halvings before an undecided piece fails
 _ROOT_SLACK = 1e-12        # closed-form roots this far outside [0, 1] snap to the knot
+_ROOT_STEPS = 100          # Newton or bisection steps that locate one cubic root
 
 
 def _gamma(n: int) -> float:
@@ -312,7 +313,8 @@ def _two_sum(a, b):
 
 
 def _pad(c: np.ndarray, n: int) -> np.ndarray:
-    if c.shape[1] == n:
+    """c with zero columns appended up to n (unchanged if it has n or more)."""
+    if c.shape[1] >= n:
         return c
     out = np.zeros((c.shape[0], n))
     out[:, :c.shape[1]] = c
@@ -410,6 +412,46 @@ def _quadratic_roots(c: np.ndarray) -> np.ndarray:
     out = np.where((c2 != 0.0)[:, None], np.where(real[:, None], quad, np.nan),
                    np.stack([lin, np.full_like(lin, np.nan)], axis=1))
     return np.where(np.isfinite(out), out, np.nan)
+
+
+def _cubic_roots(c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Roots in [0, 1] of each row's cubic c (ascending, bounds e), NaN-padded (m, 7).
+
+    The roots of the derivative split [0, 1] into monotone parts.  The
+    four part ends are roots where the value is within its bound of
+    zero; each part whose end values have opposite signs holds one more,
+    found from the root of its chord by Newton steps kept inside a shrinking
+    bracket (a step that leaves it is replaced by bisection).
+    """
+    m = c.shape[0]
+    crit = _quadratic_roots(c[:, 1:] * np.array([1.0, 2.0, 3.0]))
+    crit = np.where((crit > 0.0) & (crit < 1.0), crit, 1.0)
+    ends = np.sort(np.column_stack([np.zeros(m), crit, np.ones(m)]), axis=1)
+    f = _horner(c, ends)
+    zero = np.abs(f) <= _horner(e, ends) + _gamma(8) * _horner(np.abs(c), ends)
+    out = np.full((m, 7), np.nan)
+    out[:, :4] = np.where(zero, ends, np.nan)
+    row, part = np.nonzero(~zero[:, :-1] & ~zero[:, 1:] & (f[:, :-1] * f[:, 1:] < 0.0))
+    a, b = ends[row, part], ends[row, part + 1]
+    fa, fb = f[row, part], f[row, part + 1]
+    rising = fa < 0.0
+    cr, dc = c[row], c[row, 1:] * np.array([1.0, 2.0, 3.0])
+    t = a - fa * (b - a) / (fb - fa)     # the chord's root starts the steps
+    done = np.zeros(row.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_STEPS):
+            if done.all():
+                break
+            ft = _horner(cr, t[:, None])[:, 0]
+            above = (ft < 0.0) == rising       # the root lies above t
+            a, b = np.where(above, t, a), np.where(above, b, t)
+            step = t - ft / _horner(dc, t[:, None])[:, 0]
+            nxt = np.where((step > a) & (step < b), step, 0.5 * (a + b))
+            stop = (ft == 0.0) | (nxt == t) | (nxt <= a) | (nxt >= b)
+            t = np.where(done | (ft == 0.0), t, nxt)
+            done |= stop
+    out[row, 4 + part] = t
+    return out
 
 
 def _group_best(p, groups, t, vals, piece):
@@ -766,23 +808,37 @@ class PiecewisePoly:
             m[better], r_m[better] = mk[better], rk[better]
         return (-m if largest else m), r_m
 
-    def roots(self, groups: np.ndarray | None = None):
-        """Sorted real roots of a contiguous function of degree <= 2.
+    def bernstein(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bernstein coefficients of every piece on its [lo, hi], with bounds."""
+        return _bernstein(self.coef, self.err)
 
-        Closed form per piece; a root on a shared knot is reported once,
-        and pieces that vanish identically contribute none.  As in
-        `failures`, exact zeros at r = 0 are factored out first, so a
-        root that parity forces at the core is not reported.
+    def roots(self, groups: np.ndarray | None = None):
+        """Sorted real roots of a contiguous function of degree <= 3.
+
+        Pieces of degree <= 2 are solved in closed form.  A cubic piece
+        is split at the closed-form roots of its quadratic derivative;
+        each split point or piece end whose value is within its error
+        bound of zero is a root (a tangency, or a root on the knot), and
+        each monotone part whose end values have opposite signs holds one
+        root, located by safeguarded Newton steps.  A root on a shared
+        knot or at a tangency is reported once, and pieces that vanish
+        identically contribute none.  As in `failures`, exact zeros at
+        r = 0 are factored out first, so a root that parity forces at
+        the core is not reported.
 
         With per-piece group labels, each group is its own contiguous
         function: returns (roots, labels), sorted by label and then root,
         with the shared-knot merge applied within a group only.
         """
         (p,) = self._core_factored()
-        c = _pad(p.coef, 3)
-        if np.any(c[:, 3:]):
-            raise ValueError("closed-form roots need degree <= 2")
+        c = _pad(p.coef, 4)
+        if np.any(c[:, 4:]):
+            raise ValueError("roots need degree <= 3")
         t = _quadratic_roots(c[:, :3])
+        cubic = np.flatnonzero(c[:, 3])
+        if cubic.size:
+            t = np.concatenate([t, np.full((t.shape[0], 5), np.nan)], axis=1)
+            t[cubic] = _cubic_roots(c[cubic, :4], _pad(p.err, 4)[cubic, :4])
         ok = (t >= -_ROOT_SLACK) & (t <= 1.0 + _ROOT_SLACK)
         r = self.lo[:, None] + np.clip(t, 0.0, 1.0) * (self.hi - self.lo)[:, None]
         g = np.zeros(self.lo.size, dtype=int) if groups is None else np.asarray(groups)

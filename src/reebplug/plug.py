@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,7 +143,8 @@ def make_plug(phi: DiskMap, L: float,
 
 def orbit_periods(plug: PlugSystem, k_max: int,
                   n_r: int = 24, n_theta: int = 16) -> list[tuple[PeriodicOrbit, float]]:
-    """Detected periodic orbits of the map with T = sum of tau along them.
+    """The map's periodic families (see periodic_points) with T = sum of
+    tau along one orbit of each.
 
     T = k L + sum of sigma over the orbit; the list is sorted by
     (T, combinatorial period, radius) for reproducibility.
@@ -198,6 +199,17 @@ class PlugReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
+def _search_method(phi: DiskMap, k_max: int, n_r: int, n_theta: int) -> tuple[dict, str]:
+    """How periodic_points searches phi: the report's search entries and
+    the completeness note of the checks that read it."""
+    if phi.is_radial:
+        return ({"method": "closed-form families"},
+                f"closed-form families, exact for periods <= {k_max}")
+    return ({"method": "newton grid", "n_r": n_r, "n_theta": n_theta},
+            f"newton grid, up to search completeness "
+            f"(k_max = {k_max}, grid = {n_r}x{n_theta})")
+
+
 def verify_b(phi: DiskMap, L: float, n: int, eps: float,
              k_max: int | None = None,
              n_r: int = 24, n_theta: int = 16) -> PlugReport:
@@ -206,7 +218,8 @@ def verify_b(phi: DiskMap, L: float, n: int, eps: float,
     b1: min sigma >= -L + L/n (grid + refinement); b2: CAL < -L pi r^2
     + eps; b3: every detected fixed point has non-negative action;
     b4: no detected periodic orbit has minimal period in [2, n-1].
-    b4 is a bounded search and its note records the parameters.
+    b3 and b4 read periodic_points: exact for radial maps up to k_max,
+    a bounded Newton search otherwise; `search` and the notes say which.
     """
     if L <= 0.0 or eps <= 0.0 or n < 1:
         raise ValueError("need L > 0, eps > 0, n >= 1")
@@ -227,18 +240,17 @@ def verify_b(phi: DiskMap, L: float, n: int, eps: float,
                     note=f"CAL = {cal:.9g}, cap = {cap:.9g}")
 
     orbs = periodic_points(phi, max(k_search, 1), n_r=n_r, n_theta=n_theta)
+    method, completeness = _search_method(phi, k_search, n_r, n_theta)
     fixed = [o for o in orbs if o.period == 1]
     if fixed:
         worst = min(fixed, key=lambda o: o.action_sum)
         b3 = AxiomCheck("b3", worst.action_sum >= -B3_TOL, -worst.action_sum,
-                        note=f"{len(fixed)} fixed points detected",
+                        note=f"{len(fixed)} fixed-point records; {completeness}",
                         witness=(worst.point.real, worst.point.imag))
     else:
-        b3 = AxiomCheck("b3", True, 0.0, note="no fixed points detected")
+        b3 = AxiomCheck("b3", True, 0.0, note="no fixed points detected; " + completeness)
 
     shorts = [o for o in orbs if 2 <= o.period < n]
-    completeness = (f"up to search completeness "
-                    f"(k_max = {k_search}, grid = {n_r}x{n_theta})")
     if shorts:
         worst = min(shorts, key=lambda o: o.period)
         b4 = AxiomCheck("b4", False, float(len(shorts)),
@@ -252,8 +264,7 @@ def verify_b(phi: DiskMap, L: float, n: int, eps: float,
         family="b", checks=(b1, b2, b3, b4),
         t_min=min(periods) if periods else None,
         volume=L * math.pi * phi.radius ** 2 + cal,
-        search={"L": L, "n": n, "eps": eps, "k_max": k_search,
-                "n_r": n_r, "n_theta": n_theta})
+        search={"L": L, "n": n, "eps": eps, "k_max": k_search, **method})
 
 
 def verify_a(plug: PlugSystem, eps: float, k_max: int = 8,
@@ -261,8 +272,10 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = 8,
     """Check the a-family for a unit-fiber plug at volume budget eps.
 
     a1/a2 are structural at the return-system level and reported as
-    passing by model; a3 bounds the detected orbit periods below by 1;
-    a4 compares pi r^2 + CAL against eps.
+    passing by model; a3 bounds the detected orbit periods below by 1
+    (exact for radial maps up to k_max, a bounded Newton search
+    otherwise; `search` and the note say which); a4 compares
+    pi r^2 + CAL against eps.
     """
     if abs(plug.L - 1.0) > 1e-12:
         raise PlugError("a-family checks assume the unit fiber L = 1")
@@ -274,8 +287,7 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = 8,
                     note="holds by model: suspension fibers are isotopic "
                          "to the trivial ones")
     found = orbit_periods(plug, k_max, n_r=n_r, n_theta=n_theta)
-    completeness = (f"up to search completeness "
-                    f"(k_max = {k_max}, grid = {n_r}x{n_theta})")
+    method, completeness = _search_method(plug.map, k_max, n_r, n_theta)
     if found:
         t_min = min(T for _, T in found)
         worst = min(found, key=lambda item: item[1])[0]
@@ -290,7 +302,7 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = 8,
                     note=f"volume = {vol:.9g}, eps = {eps:.9g}")
     return PlugReport(
         family="a", checks=(a1, a2, a3, a4), t_min=t_min, volume=vol,
-        search={"eps": eps, "k_max": k_max, "n_r": n_r, "n_theta": n_theta})
+        search={"eps": eps, "k_max": k_max, **method})
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +338,8 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
     core it is reconstructed from coefficient data with an O(h^2)
     error driven by the quartic Taylor term of d (about 1e-7 at the
     default knot count), tightening to 1e-10 for r beyond about two
-    percent of the radius.
+    percent of the radius.  The contact margin decided on the way is
+    kept as the form's `contact_margin`.
     """
     if L <= 0.0 or R <= 0.0:
         raise PlugError("need L > 0 and R > 0")
@@ -349,5 +362,4 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
     d_ders = -rho_k * knots / L
     d = RadialFunction(knots, d_vals, d_ders, parity="even")
     form = RotForm(R, L, c, d)
-    contact_check(form)
-    return form
+    return replace(form, contact_margin=contact_check(form))

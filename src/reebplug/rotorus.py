@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,8 @@ class RotForm:
     c and d already include any overall normalization; kappa records the
     constant that was multiplied in, for reporting only.  Smoothness on
     the core axis forces c(0) = c'(0) = 0 with c''(0) > 0, d even.
+    contact_margin is the `contact_check` value when the builder already
+    decided it (None otherwise); it is not serialized.
     """
 
     radius: float
@@ -58,6 +60,7 @@ class RotForm:
     c: RadialFunction
     d: RadialFunction
     kappa: float = 1.0
+    contact_margin: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.radius > 0.0 and self.core_period > 0.0):

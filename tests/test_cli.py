@@ -210,6 +210,22 @@ def test_unconverged_disk_quadrature_is_a_check_failure(tmp_path, monkeypatch):
     assert not (tmp_path / "plug_volume.json").exists()
 
 
+def test_plug_realize_decides_contact_once(tmp_path, capsys, monkeypatch):
+    # the margin printed is the one realize_rotational decided
+    from reebplug import cli
+    from reebplug.rotorus import contact_check
+    plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
+    calls = []
+    monkeypatch.setattr(plug_module, "contact_check",
+                        lambda form: calls.append(form) or contact_check(form))
+    monkeypatch.setattr(cli, "contact_check", None)
+    assert main(["plug", "realize", str(plug_file), "--knots", "257",
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    form = RotForm.from_dict(json.loads((tmp_path / "form.json").read_text()))
+    assert f"contact margin {contact_check(form):.9g}," in capsys.readouterr().out
+
+
 def test_plug_rescale(tmp_path):
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
     rc = main(["plug", "rescale", str(plug_file), "--factor", "0.5",

@@ -210,12 +210,12 @@ def test_hamiltonian_preserves_hamiltonian():
 
 
 def test_periodic_points_identity():
+    # the identity's fixed points are one annulus, the whole disk
     phi = DiskMap(1.0, ())
     orbits = periodic_points(phi, k_max=3, n_r=4, n_theta=4)
-    # every grid seed (origin + 16) is a fixed point; none with k = 2, 3
-    assert len(orbits) == 17
-    assert all(o.period == 1 for o in orbits)
-    assert all(o.action_sum == 0.0 for o in orbits)
+    assert len(orbits) == 1
+    o = orbits[0]
+    assert (o.period, o.r_lo, o.r_hi, o.action_sum) == (1, 0.0, 1.0, 0.0)
 
 
 def test_periodic_points_resonant_circle():
@@ -324,7 +324,7 @@ def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
                 continue
             act = float(np.sum(sig(np.array(orbit))))
             zk = _iterate(phi, z, k)
-            k_found.append(PeriodicOrbit(z, k, act, orbit, abs(zk - z)))
+            k_found.append(PeriodicOrbit(z, k, act, orbit, abs(zk - z), abs(z), abs(z)))
         found.extend(k_found)
     return found
 
@@ -353,11 +353,69 @@ def twist_after_m3_step():
 def test_periodic_points_matches_seed_by_seed(phi, k_max, n_r, n_theta):
     new = periodic_points(phi, k_max, n_r=n_r, n_theta=n_theta)
     ref = _seed_by_seed_periodic_points(phi, k_max, n_r=n_r, n_theta=n_theta)
+    if phi.is_radial:
+        # one record per family: every reference orbit lies on one, and
+        # every family is hit by some seed
+        hit = [_family_of(o, new, phi) for o in ref]
+        assert None not in hit
+        assert set(hit) == set(range(len(new)))
+        assert all(f.residual < 1e-9 for f in new)
+        # distinct families of one period neither overlap nor touch
+        for a, b in zip(new[:-1], new[1:]):
+            assert a.period < b.period or a.r_hi + 1e-7 < b.r_lo
+        return
     assert [o.period for o in new] == [o.period for o in ref]
     for a, b in zip(new, ref):
         assert abs(abs(a.point) - abs(b.point)) < 1e-7
         assert abs(a.action_sum - b.action_sum) < 1e-9
         assert a.residual < 1e-9
+
+
+def _family_of(orbit, families, phi, accept_tol=1e-9):
+    """Index of the family of the same period and action sum (within 1e-9)
+    that holds the reference orbit, or None.
+
+    The orbit is on the family when its radius is within 1e-7 of the
+    family's or inside [r_lo, r_hi].  Newton accepts |phi^k(z) - z| <
+    accept_tol, which near a tangential edge (rho - 2 pi p vanishing to
+    third order) also holds on a collar about 2e-5 wide; a reference
+    point there is the family's when |phi^k - id| stays below accept_tol
+    on the whole segment from it to the family.
+    """
+    r, k = abs(orbit.point), orbit.period
+    for j, f in enumerate(families):
+        if f.period != k or abs(f.action_sum - orbit.action_sum) >= 1e-9:
+            continue
+        if abs(r - abs(f.point)) <= 1e-7 or f.r_lo <= r <= f.r_hi:
+            return j
+        seg = np.linspace(r, min(max(r, f.r_lo), f.r_hi), 65).astype(complex)
+        if np.all(np.abs(_iterate(phi, seg, k) - seg) < accept_tol * max(1.0, phi.radius)):
+            return j
+    return None
+
+
+def test_radial_families_identity_tail():
+    # a profile may end within 1e-12 of 2 pi Z; past its support the
+    # twist is the identity all the same, so that annulus is one band
+    prof = RadialFunction(np.array([0.0, 0.5]), np.array([1.0, 1e-13]), np.zeros(2),
+                          parity="even")
+    families = periodic_points(DiskMap(1.0, (RadialTwist(prof),)), k_max=2)
+    assert [(f.period, f.r_lo, f.r_hi, f.action_sum) for f in families][1:] == [
+        (1, 0.5, 1.0, 0.0)]
+    assert (families[0].period, families[0].r_hi) == (1, 0.0)
+
+
+def test_radial_periodic_points_evaluate_no_map(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the radial search evaluated the map")
+
+    for name in ("evaluate", "evaluate_with_differential", "iterate_differential"):
+        monkeypatch.setattr(DiskMap, name, refuse)
+    monkeypatch.setattr(RadialTwist, "evaluate", refuse)
+    families = periodic_points(cubed_twist(3.0, n_knots=513), k_max=3)
+    assert [(f.period, f.r_lo == f.r_hi) for f in families] == [(1, True), (1, True), (3, True)]
+    with pytest.raises(AssertionError, match="evaluated the map"):
+        periodic_points(m2_step(), k_max=1, n_r=2, n_theta=2)
 
 
 def test_hamiltonian_map_on_no_points():

@@ -416,6 +416,90 @@ def test_extreme_and_roots_closed_forms():
                        atol=1e-14)
 
 
+# ---------------------------------------------------------------------------
+# PiecewisePoly.roots on cubic pieces against exact rational roots
+# ---------------------------------------------------------------------------
+
+def _exact_value(a, t):
+    return sum(c * t ** k for k, c in enumerate(a))
+
+
+def _exact_root_intervals(a, depth=48):
+    """[lo, hi] in t of width <= 2^-depth (or a point), around every root of
+    the exact polynomial a in [0, 1], by exact Bernstein subdivision: a
+    part whose nonzero Bernstein coefficients share one sign holds no
+    root inside."""
+    out, stack = [], [(Fraction(0), Fraction(1), _exact_bernstein(a))]
+    while stack:
+        lo, hi, b = stack.pop()
+        out += [(t, t) for t, v in ((lo, b[0]), (hi, b[-1])) if v == 0]
+        signs = {c > 0 for c in b if c != 0}
+        if len(signs) < 2:
+            continue
+        if hi - lo <= Fraction(1, 2 ** depth):
+            out.append((lo, hi))
+            continue
+        left, right = _exact_halves(b)
+        mid = (lo + hi) / 2
+        stack += [(lo, mid, left), (mid, hi, right)]
+    return out
+
+
+def _exact_roots(fn, target):
+    """Roots in r of the exact Hermite data of fn minus target, as
+    Fractions, merged when within 2^-40 of each other."""
+    found = []
+    for a, x0, x1 in zip(_exact_pieces(fn), fn.knots[:-1], fn.knots[1:]):
+        a = [a[0] - Fraction(target)] + a[1:]
+        if not any(a):
+            continue   # identically equal to the target: a band, not roots
+        h = Fraction(x1) - Fraction(x0)
+        found += [Fraction(x0) + h * (lo + hi) / 2 for lo, hi in _exact_root_intervals(a)]
+    found.sort()
+    merged = found[:1]
+    for r in found[1:]:
+        if r - merged[-1] > Fraction(1, 2 ** 40):
+            merged.append(r)
+    return merged
+
+
+def test_cubic_roots_planted_cases():
+    # (t - 1/4)^2 (t + 1) on one piece: a tangency at 1/4 and at the
+    # critical point of the cubic, reported once
+    tangent = RadialFunction(np.array([0.0, 1.0]), np.array([0.0625, 1.125]),
+                             np.array([-0.4375, 3.5625]))
+    assert PiecewisePoly.from_radial(tangent).roots().tolist() == [0.25]
+    assert _exact_roots(tangent, 0.0) == [Fraction(1, 4)]
+    # t (t - 1/2) (t - 1) on [0.25, 0.75]: roots at both piece ends
+    ends = RadialFunction(np.array([0.25, 0.75]), np.zeros(2), np.ones(2))
+    assert PiecewisePoly.from_radial(ends).roots().tolist() == [0.25, 0.5, 0.75]
+    assert _exact_roots(ends, 0.0) == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    # a piece equal to the target on [0.4, 0.9] is a band: it adds no
+    # roots, its neighbours meet the target at its ends, each reported once
+    knots = np.array([0.125, 0.375, 0.875, 1.0])
+    band = RadialFunction(knots, np.array([1.0, 2.0, 2.0, 3.0]), np.zeros(4))
+    assert (PiecewisePoly.from_radial(band) - 2.0).roots().tolist() == [0.375, 0.875]
+    assert _exact_roots(band, 2.0) == [Fraction(3, 8), Fraction(7, 8)]
+    # a simple root on a shared knot is reported once
+    knot = RadialFunction(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 1.0]),
+                          np.array([3.0, 1.0, 3.0]))
+    assert PiecewisePoly.from_radial(knot).roots().tolist() == [0.5]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cubic_roots_match_exact(seed):
+    rng = np.random.default_rng(seed)
+    f = _random_hermite(rng, at_core=False,
+                        knots=np.sort(rng.uniform(0.0, 1.0, size=rng.integers(3, 7))))
+    # every other seed plants a root on a shared knot
+    target = float(f.values[1]) if seed % 2 else float(np.median(f.values))
+    got = (PiecewisePoly.from_radial(f) - target).roots()
+    want = _exact_roots(f, target)
+    assert len(got) == len(want), (seed, got, [float(r) for r in want])
+    for r, w in zip(got, want):
+        assert abs(Fraction(float(r)) - w) <= Fraction(1e-12), (seed, float(r), float(w))
+
+
 def _exact_integral(pieces, lo, hi):
     return sum((Fraction(h) - Fraction(l)) * sum(c / (k + 1) for k, c in enumerate(a))
                for a, l, h in zip(pieces, lo, hi))
