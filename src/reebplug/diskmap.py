@@ -29,6 +29,10 @@ along the composition:
 Line integrals of phi*lam - lam along rays and arcs are kept only as an
 independent check of sigma (`ActionField.path_independence_check`).
 
+Hamiltonians and the potentials u of lam0 + du are sums of bump-harmonic
+terms, evaluated only by `BumpHarmonic.jet` (H, gradient and Hessian from
+shared powers); a flow's right-hand side makes one jet call per term.
+
 Periodic points come one record per family.  For a radial map they are
 closed forms too: the origin, the circles where k rho = 2 pi p and the
 bands where that holds identically; other maps run a seeded Newton
@@ -76,7 +80,8 @@ class BumpHarmonic:
 
     T_m is Re or Im of (z/support)^m, so the term is smooth on the plane
     (C^(power-1) across the support circle; power >= 3 keeps the Hessian
-    continuous).
+    continuous).  `jet` is its only evaluator: H, the gradient and the
+    Hessian in one pass, and `_terms_jet` sums it over a tuple of terms.
     """
 
     m: int
@@ -93,69 +98,51 @@ class BumpHarmonic:
         if self.m == 0 and self.trig == "sin":
             raise ValueError("m = 0 sine term vanishes identically")
 
-    def _bump(self, u):
-        # B(u) = (1 - u/a^2)^p and derivatives in u = r^2, masked outside
-        a2 = self.support ** 2
-        s = np.clip(1.0 - u / a2, 0.0, None)
-        p = self.power
-        B = s ** p
-        Bp = -(p / a2) * s ** (p - 1)
-        Bpp = (p * (p - 1) / a2 ** 2) * s ** (p - 2)
-        inside = u < a2
-        return B * inside, Bp * inside, Bpp * inside
+    def jet(self, z, order: int = 2) -> list:
+        """[H, H_x + i H_y, (H_xx, H_xy, H_yy)] at z, truncated after `order`.
 
-    def _harmonic(self, z):
-        # T, T' (holomorphic derivative), T'' of Re/Im (z/a)^m
-        a = self.support
-        m = self.m
-        if m == 0:
-            one = np.ones_like(z, dtype=complex)
-            zero = np.zeros_like(z, dtype=complex)
-            F, Fp, Fpp = one, zero, zero
-        else:
-            F = (z / a) ** m
-            Fp = m * z ** (m - 1) / a ** m if m >= 1 else 0.0 * z
-            Fpp = m * (m - 1) * z ** (m - 2) / a ** m if m >= 2 else np.zeros_like(z)
-        part = np.real if self.trig == "cos" else np.imag
-        return part(F), Fp, Fpp
-
-    def value(self, z):
-        u = np.abs(z) ** 2
-        B, _, _ = self._bump(u)
-        T, _, _ = self._harmonic(z)
-        return self.coef * B * T
-
-    def gradient(self, z):
-        """(H_x, H_y) as a complex array H_x + i H_y."""
-        x, y = np.real(z), np.imag(z)
+        With s = max(1 - |z|^2/a^2, 0) and w = conj(z)/a, each formed
+        once, the term is B T with B = coef s^p and T = Re w^m (cos) or
+        -Im w^m (sin); s^(p - order) .. s^p and w^(m - order) .. w^m come
+        from one power and then products, and only the orders asked for
+        are formed.  In u = |z|^2 the gradient is 2 B' T z + B dT, where
+        dT = T_x + i T_y is w^(m-1) m/a (times i for sin), and the Hessian
+        is (P + Re Q, Im Q, P - Re Q) with half-Laplacian P = 2 u B'' T +
+        2 (m + 1) B' T (T is harmonic and x T_x + y T_y = m T) and Q =
+        2 B'' T z^2 + 2 B' z dT + B (T_xx + i T_xy).  Outside the support
+        s = 0 zeroes every order, since power >= 3.
+        """
+        z = np.asarray(z)
+        a, p, m = self.support, self.power, self.m
+        x, y = z.real, z.imag
         u = x * x + y * y
-        B, Bp, _ = self._bump(u)
-        T, Fp, _ = self._harmonic(z)
-        if self.trig == "cos":
-            Tx, Ty = np.real(Fp), -np.imag(Fp)
-        else:
-            Tx, Ty = np.imag(Fp), np.real(Fp)
-        gx = Bp * 2.0 * x * T + B * Tx
-        gy = Bp * 2.0 * y * T + B * Ty
-        return self.coef * (gx + 1j * gy)
-
-    def hessian(self, z):
-        """(H_xx, H_xy, H_yy)."""
-        x, y = np.real(z), np.imag(z)
-        u = x * x + y * y
-        B, Bp, Bpp = self._bump(u)
-        T, Fp, Fpp = self._harmonic(z)
-        if self.trig == "cos":
-            Tx, Ty = np.real(Fp), -np.imag(Fp)
-            Txx, Txy = np.real(Fpp), -np.imag(Fpp)
-        else:
-            Tx, Ty = np.imag(Fp), np.real(Fp)
-            Txx, Txy = np.imag(Fpp), np.real(Fpp)
-        Tyy = -Txx  # harmonic
-        Hxx = 4.0 * x * x * Bpp * T + 2.0 * Bp * T + 4.0 * x * Bp * Tx + B * Txx
-        Hxy = 4.0 * x * y * Bpp * T + 2.0 * y * Bp * Tx + 2.0 * x * Bp * Ty + B * Txy
-        Hyy = 4.0 * y * y * Bpp * T + 2.0 * Bp * T + 4.0 * y * Bp * Ty + B * Tyy
-        return self.coef * Hxx, self.coef * Hxy, self.coef * Hyy
+        s = _rising_powers(np.maximum(1.0 - u / a ** 2, 0.0), p, order)
+        w = _rising_powers(np.conj(z) / a, m, order)
+        T = w[-1].real if self.trig == "cos" else -w[-1].imag
+        B = self.coef * s[-1]
+        out = [B * T]
+        if order == 0:
+            return out
+        unit = 1.0 if self.trig == "cos" else 1j
+        D1 = (-2.0 * p * self.coef / a ** 2) * s[-2]    # 2 B'(u)
+        D1T = D1 * T
+        grad = D1T * z
+        if m:
+            dT = (unit * m / a) * w[-2]
+            grad = grad + B * dT
+        out.append(grad)
+        if order == 1:
+            return out
+        D2T = ((2.0 * p * (p - 1) * self.coef / a ** 4) * s[-3]) * T    # 2 B''(u) T
+        P = D2T * u + (m + 1) * D1T
+        Q = D2T * (z * z)
+        if m:
+            Q = Q + D1 * (z * dT)
+        if m >= 2:
+            Q = Q + B * ((unit * m * (m - 1) / a ** 2) * w[-3])
+        Qr = Q.real
+        out.append((P + Qr, Q.imag, P - Qr))
+        return out
 
     def rescaled(self, factor: float) -> "BumpHarmonic":
         # H_factor(z) = factor^2 * H(z/factor); the term family is closed under it
@@ -172,28 +159,30 @@ class BumpHarmonic:
                    float(d["support"]), int(d.get("power", 4)))
 
 
-def _terms_value(terms, z):
-    out = np.zeros(np.shape(z))
-    for t in terms:
-        out = out + t.value(z)
+def _rising_powers(v, top: int, order: int) -> list:
+    """[v^(top - order), ..., v^top]: one power, then products.  v^0 is the
+    scalar 1 and a negative power 0, whose coefficient vanishes anyway."""
+    out = []
+    for e in range(top - order, top + 1):
+        if e <= 0:
+            out.append(float(e == 0))
+        elif e > 1 and e > top - order:
+            out.append(out[-1] * v)
+        else:
+            out.append(v ** e if e > 1 else v)
     return out
 
 
-def _terms_gradient(terms, z):
-    out = np.zeros(np.shape(z), dtype=complex)
-    for t in terms:
-        out = out + t.gradient(z)
+def _sum_jets(a, b):
+    return tuple(map(_sum_jets, a, b)) if isinstance(a, tuple) else a + b
+
+
+def _terms_jet(terms, z, order: int) -> list:
+    """The jet of sum(terms) at z (see BumpHarmonic.jet)."""
+    out = terms[0].jet(z, order)
+    for t in terms[1:]:
+        out = [_sum_jets(a, b) for a, b in zip(out, t.jet(z, order))]
     return out
-
-
-def _terms_hessian(terms, z):
-    hxx = np.zeros(np.shape(z))
-    hxy = np.zeros(np.shape(z))
-    hyy = np.zeros(np.shape(z))
-    for t in terms:
-        a, b, c = t.hessian(z)
-        hxx, hxy, hyy = hxx + a, hxy + b, hyy + c
-    return hxx, hxy, hyy
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +283,7 @@ class HamiltonianStep:
         return max(t.support for t in self.terms)
 
     def hamiltonian(self, z):
-        return _terms_value(self.terms, z)
+        return _terms_jet(self.terms, z, 0)[0]
 
     def _flow(self, z0: np.ndarray, with_jac: bool):
         """Integrate points with their variational 2x2 blocks, or with their action.
@@ -312,22 +301,20 @@ class HamiltonianStep:
         def rhs(t, y):
             x, yy = y[:n], y[n:2 * n]
             z = x + 1j * yy
-            g = _terms_gradient(self.terms, z)
+            jet = _terms_jet(self.terms, z, 2 if with_jac else 1)
+            g = jet[1]
             out = np.empty_like(y)
-            out[:n] = np.imag(g)        # x' = H_y
-            out[n:2 * n] = -np.real(g)  # y' = -H_x
+            out[:n] = g.imag           # x' = H_y
+            out[n:2 * n] = -g.real     # y' = -H_x
             if with_jac:
-                hxx, hxy, hyy = _terms_hessian(self.terms, z)
-                j00, j01 = y[2 * n:3 * n], y[3 * n:4 * n]
-                j10, j11 = y[4 * n:5 * n], y[5 * n:6 * n]
-                # dJ/dt = A J with A = [[H_xy, H_yy], [-H_xx, -H_xy]]
-                out[2 * n:3 * n] = hxy * j00 + hyy * j10
-                out[3 * n:4 * n] = hxy * j01 + hyy * j11
-                out[4 * n:5 * n] = -hxx * j00 - hxy * j10
-                out[5 * n:6 * n] = -hxx * j01 - hxy * j11
+                hxx, hxy, hyy = jet[2]
+                # dJ/dt = A J with A = [[H_xy, H_yy], [-H_xx, -H_xy]], a row
+                # (j00, j01) or (j10, j11) of J at a time
+                J, dJ = y[2 * n:].reshape(2, 2, n), out[2 * n:].reshape(2, 2, n)
+                dJ[0] = hxy * J[0] + hyy * J[1]
+                dJ[1] = -(hxx * J[0] + hxy * J[1])
             else:
-                out[2 * n:] = (_terms_value(self.terms, z)
-                               - 0.5 * (x * np.real(g) + yy * np.imag(g)))
+                out[2 * n:] = jet[0] - 0.5 * (x * g.real + yy * g.imag)
             return out
 
         y = ode_flow(rhs, y0, self.time, self.ode).state
@@ -511,14 +498,14 @@ class PrimitiveOneForm:
     def u(self, z):
         if not self.u_terms:
             return np.zeros(np.shape(z))
-        return _terms_value(self.u_terms, z)
+        return _terms_jet(self.u_terms, z, 0)[0]
 
     def eval(self, z, v):
         """Pair the form at the point z with the tangent vector v (complex)."""
         lam0 = 0.5 * (np.real(z) * np.imag(v) - np.imag(z) * np.real(v))
         if not self.u_terms:
             return lam0
-        g = _terms_gradient(self.u_terms, z)
+        g = _terms_jet(self.u_terms, z, 1)[1]
         return lam0 + np.real(g) * np.real(v) + np.imag(g) * np.imag(v)
 
     def to_dict(self) -> dict:

@@ -2,9 +2,12 @@
 kernel that decides their signs, quadrature, ODE flows, root finding.
 
 Everything here is deterministic: fixed quadrature ladders, fixed step
-acceptance rules, no randomness.  The heavier lifting is delegated to
-scipy (QUADPACK, DOP853, Brent) behind small result types that carry
-error estimates and explicit convergence flags.
+acceptance rules, no randomness.  Adaptive quadrature, the ODE stepper
+and bracketed root finding are scipy's (QUADPACK, DOP853, Brent) behind
+small result types that carry error estimates and explicit convergence
+flags; each of the three routines imports scipy on its first call, so
+the radial and decided-sign paths (profiles, rotori, twist plugs,
+certificates) never load it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, IntegrationWarning, quad
-from scipy.optimize import brentq
 
 
 class NonConvergenceError(RuntimeError):
@@ -888,6 +889,8 @@ def integrate_1d(fn, a: float, b: float, spec: QuadratureSpec | None = None,
     `points` lists known interior breakpoints (kinks of piecewise data) so
     the subdivision lands on them.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     spec = spec or DEFAULT_QUAD
     if a == b:
         return QuadResult(0.0, 0.0, True)
@@ -960,6 +963,8 @@ def integrate_disk(fn, radius: float, spec: QuadratureSpec | None = None) -> Qua
 
 def ode_flow(field, start, time: float, spec: OdeSpec | None = None) -> OdeResult:
     """Flow `start` for `time` along field(t, y); counts steps, detects NaN."""
+    from scipy.integrate import DOP853
+
     spec = spec or DEFAULT_ODE
     y0 = np.asarray(start, dtype=float)
     if time == 0.0 or y0.size == 0:
@@ -994,6 +999,8 @@ def find_root_1d(fn, seed: float | None = None, spec: QuadratureSpec | None = No
     NonConvergenceError is raised rather than a spurious root (such as
     the jump of a step function) returned.
     """
+    from scipy.optimize import brentq
+
     spec = spec or DEFAULT_QUAD
     tol = max(spec.abs_tol, 1e-14)
     if bracket is None:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +301,48 @@ def test_missing_input_is_config_error(tmp_path, capsys):
 def test_bad_format_is_config_error(tmp_path, capsys):
     assert run(DESIGN + ["--format", "docx"], tmp_path) == 2
     assert "unknown output format" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter: design a profile, analyze its rotorus, build
+# and verify a radial twist plug, realize it, certify, and list the scipy
+# modules loaded on the way.
+RADIAL_PIPELINE = r'''
+import json, sys
+from pathlib import Path
+from reebplug.cli import main
+from reebplug.diskmap import DiskMap, RadialTwist
+from reebplug.numerics import RadialFunction
+
+out = Path(sys.argv[1])
+twist = DiskMap(0.05, (RadialTwist(RadialFunction.bump(3.5, 0.04)),)).to_dict()
+(out / "twist.json").write_text(json.dumps(twist))
+(out / "assembly.json").write_text(json.dumps({
+    "eps": 0.01, "areas": [1.05], "tau_bound": 0.005,
+    "plugs": [{"L": 1.0, "radius": 0.05, "map": twist}]}))
+form, plug = str(out / "binding_form.json"), str(out / "plug.json")
+commands = [
+    ["profile", "design", "--s", "0.01", "--delta", "0.1", "--rho", "0.5",
+     "--r0", "0.1", "--r1", "0.3"],
+    ["profile", "verify", str(out / "curve.json")],
+    ["rotorus", "analyze", form], ["rotorus", "orbits", form], ["rotorus", "volume", form],
+    ["plug", "build", str(out / "twist.json"), "--L", "1.0"],
+    ["plug", "verify-a", plug, "--eps", "0.01", "--kmax", "2"],
+    ["plug", "orbits", plug, "--kmax", "2"],
+    ["plug", "realize", plug, "--knots", "257"],
+    ["plug", "volume", plug],
+    ["certify", "run", str(out / "assembly.json"), "--kmax", "1"],
+    ["certify", "sweep", "--eps", "0.01,0.001", "--ell", "1", "--kmax", "1"],
+]
+codes = [main(c + ["--out", str(out)]) for c in commands]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+'''
+
+
+def test_radial_pipeline_never_imports_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(plug_module.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", RADIAL_PIPELINE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 12
+    assert result["scipy"] == []

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from reebplug.diskmap import (
     PeriodicOrbit,
     PrimitiveOneForm,
     RadialTwist,
+    _terms_jet,
     action,
     calabi,
     compose,
@@ -21,6 +23,7 @@ from reebplug.diskmap import (
     rescale,
 )
 from reebplug.numerics import QuadratureSpec, RadialFunction, integrate_disk
+from reebplug.plug import make_plug
 
 # ---------------------------------------------------------------------------
 # Frozen oracles for the twist rho(r) = -c (1 - r^2)^3 on the unit disk.
@@ -474,6 +477,142 @@ def test_diskmap_roundtrip_dict():
     back = DiskMap.from_dict(phi.to_dict())
     z = 0.3 + 0.3j
     assert abs(back.evaluate(z) - phi.evaluate(z)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# BumpHarmonic.jet against the term-by-term formulas it replaced: B(u) =
+# s^p with s = 1 - u/a^2 and its u-derivatives times T = Re or Im (z/a)^m
+# and its x, y derivatives, each order on its own.
+# ---------------------------------------------------------------------------
+
+def _term_formulas(term, z, magnitude=False):
+    """(H, H_x, H_y, H_xx, H_xy, H_yy) of one term; with magnitude, the same
+    sums with every summand and factor replaced by its absolute value, the
+    scale of the rounding error of evaluating them."""
+    a, a2, p, m = term.support, term.support ** 2, term.power, term.m
+    x, y = np.real(z), np.imag(z)
+    u = x * x + y * y
+    s = np.clip(1.0 - u / a2, 0.0, None)
+    inside = u < a2
+    B = s ** p * inside
+    Bp = -(p / a2) * s ** (p - 1) * inside
+    Bpp = (p * (p - 1) / a2 ** 2) * s ** (p - 2) * inside
+    F = (z / a) ** m
+    Fp = m * z ** (m - 1) / a ** m if m >= 1 else 0.0 * z
+    Fpp = m * (m - 1) * z ** (m - 2) / a ** m if m >= 2 else 0.0 * z
+    if term.trig == "cos":
+        T, Tx, Ty, Txx, Txy = np.real(F), np.real(Fp), -np.imag(Fp), np.real(Fpp), -np.imag(Fpp)
+    else:
+        T, Tx, Ty, Txx, Txy = np.imag(F), np.imag(Fp), np.real(Fp), np.imag(Fpp), np.real(Fpp)
+    Tyy = -Txx
+    c = term.coef
+    if magnitude:
+        x, y, Bp, c = np.abs(x), np.abs(y), np.abs(Bp), abs(c)
+        T, Tx, Ty, Txx, Txy, Tyy = (np.abs(F),) + (np.abs(Fp),) * 2 + (np.abs(Fpp),) * 3
+    H = c * B * T
+    gx = c * (Bp * 2.0 * x * T + B * Tx)
+    gy = c * (Bp * 2.0 * y * T + B * Ty)
+    Hxx = c * (4.0 * x * x * Bpp * T + 2.0 * Bp * T + 4.0 * x * Bp * Tx + B * Txx)
+    Hxy = c * (4.0 * x * y * Bpp * T + 2.0 * y * Bp * Tx + 2.0 * x * Bp * Ty + B * Txy)
+    Hyy = c * (4.0 * y * y * Bpp * T + 2.0 * Bp * T + 4.0 * y * Bp * Ty + B * Tyy)
+    return H, gx, gy, Hxx, Hxy, Hyy
+
+
+def _jet_rows(jet):
+    """A jet's outputs as the rows (H, H_x, H_y, H_xx, H_xy, H_yy), cut at its order."""
+    rows = [jet[0]]
+    if len(jet) > 1:
+        rows += [np.real(jet[1]), np.imag(jet[1])]
+    if len(jet) > 2:
+        rows += list(jet[2])
+    return rows
+
+
+def _assert_jet_matches(jet, ref, mag):
+    """Each order within 1e-15 of its rounding scale: the summed magnitudes of
+    H, of the gradient's larger entry, and of the Hessian's largest entry."""
+    rows = _jet_rows(jet)
+    scale = [mag[0], np.maximum(mag[1], mag[2]), np.maximum.reduce(mag[3:])]
+    for i, got in enumerate(rows):
+        order = (i + 1) // 2 if i < 3 else 2
+        err = np.abs(got - ref[i])
+        assert np.all(err <= 1e-15 * scale[order]), (i, float(np.max(err / scale[order])))
+
+
+def _probe_points(rng, a, n=400):
+    """Points inside, on and outside the support circle of radius a."""
+    r = a * np.concatenate([np.sqrt(rng.random(n)), np.ones(n // 8),
+                            1.0 + 0.3 * rng.random(n // 8), [0.0]])
+    return r * np.exp(2j * np.pi * rng.random(r.size))
+
+
+@pytest.mark.parametrize("power", [3, 4, 6])
+@pytest.mark.parametrize("m,trig", [(0, "cos"), (1, "cos"), (1, "sin"), (2, "cos"),
+                                    (2, "sin"), (3, "cos"), (3, "sin")])
+def test_jet_matches_term_formulas(m, trig, power):
+    rng = np.random.default_rng(100 * m + 10 * power + (trig == "sin"))
+    term = BumpHarmonic(m, trig, 0.07, 0.3, power)
+    z = _probe_points(rng, term.support)
+    ref, mag = _term_formulas(term, z), _term_formulas(term, z, magnitude=True)
+    for order in (0, 1, 2):
+        jet = term.jet(z, order)
+        assert len(jet) == order + 1
+        _assert_jet_matches(jet, ref, mag)
+    outside = np.abs(z) > term.support * (1.0 + 1e-12)
+    assert all(np.all(row[outside] == 0.0) for row in _jet_rows(term.jet(z, 2)))
+    assert np.isclose(term.jet(complex(z[0]), 2)[0], ref[0][0], rtol=0, atol=1e-15 * mag[0][0])
+
+
+@pytest.mark.parametrize("terms", [
+    (BumpHarmonic(0, "cos", 0.05, 0.3), BumpHarmonic(2, "cos", -0.03, 0.3, 6)),
+    (BumpHarmonic(3, "sin", 0.12, 0.8, 3), BumpHarmonic(1, "cos", 0.04, 0.5)),
+], ids=["m0+m2", "m3+m1"])
+def test_terms_jet_matches_summed_formulas(terms):
+    z = _probe_points(np.random.default_rng(5), max(t.support for t in terms))
+    parts = [_term_formulas(t, z) for t in terms]
+    mags = [_term_formulas(t, z, magnitude=True) for t in terms]
+    ref = [sum(rows) for rows in zip(*parts)]
+    mag = [sum(rows) for rows in zip(*mags)]
+    for order in (0, 1, 2):
+        _assert_jet_matches(_terms_jet(terms, z, order), ref, mag)
+
+
+def test_ham_plug_maps_match_term_formula_outputs():
+    """The ham_plug maps' outputs against tests/data/ham_plug_reference.json,
+    made with the term-by-term formulas.  The four collar points near
+    r = 0.29997 are where Newton stopped crawling toward the flat support
+    edge (not periodic points; see CHANGES.md), and a 1-ulp random change
+    of the right-hand side moves them by 8e-12 to 2.3e-11, so they are held
+    to 1e-10; everything else to 1e-15."""
+    ref = json.loads((Path(__file__).parent / "data" / "ham_plug_reference.json").read_text())
+    a, t = 0.3, 0.1
+    h0 = DiskMap(a, (HamiltonianStep((BumpHarmonic(0, "cos", 0.05, a),), time=t),))
+    h2 = DiskMap(a, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, a),), time=t),))
+    twist = RadialFunction(np.array([0.0, a]), np.array([-1.0, 0.0]), np.zeros(2),
+                           parity="even")
+    comp = compose(DiskMap(a, (RadialTwist(twist),)), h2)
+    du = PrimitiveOneForm((BumpHarmonic(2, "sin", 0.02, a),))
+    pts = np.array([complex(*p) for p in ref["points"]])
+
+    def close(got, want, tol=1e-15):
+        assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= tol
+
+    for name, sig in (("h0", action(h0)), ("h2", action(h2)), ("comp", action(comp)),
+                      ("h2 du", action(h2, du))):
+        close(sig(pts), ref["action"][name])
+    w, J = h2.evaluate_with_differential(pts)
+    close(w, [complex(*v) for v in ref["map h2"]])
+    close(J, ref["jacobian h2"])
+    close([calabi(h0), calabi(h0, du), calabi(comp)], list(ref["calabi"].values()))
+    close(make_plug(h2, 1.0, n_r=12, n_theta=8).tau_min, ref["tau_min h2"])
+
+    orbs = periodic_points(h2, 1, n_r=4, n_theta=4)
+    assert [o.period for o in orbs] == [r["period"] for r in ref["periodic h2"]]
+    for o, r in zip(orbs, ref["periodic h2"]):
+        collar = 0.2999 < abs(o.point) < 0.29999
+        close(o.point, complex(*r["point"]), 1e-10 if collar else 1e-15)
+        close(o.action_sum, r["action_sum"])
+    assert sum(0.2999 < abs(o.point) < 0.29999 for o in orbs) == 4
 
 
 # ---------------------------------------------------------------------------
