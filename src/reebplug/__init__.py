@@ -10,6 +10,8 @@
 - exact-arithmetic certificates for the systolic-ratio lower bound.
 """
 
+import types as _types
+
 from .certify import (
     AssemblyInput,
     Certificate,
@@ -102,83 +104,7 @@ from .rotorus import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionField",
-    "AssemblyInput",
-    "AxiomCheck",
-    "BumpHarmonic",
-    "Certificate",
-    "CertificationError",
-    "ConditionReport",
-    "ContactError",
-    "DISK_PERIOD",
-    "DiskMap",
-    "HamiltonianStep",
-    "LAM0",
-    "LedgerEntry",
-    "NonConvergenceError",
-    "OdeSpec",
-    "OrbitRecord",
-    "OrbitSearch",
-    "PeriodicOrbit",
-    "PiecewisePoly",
-    "PlugError",
-    "PlugReport",
-    "PlugSystem",
-    "PrimitiveOneForm",
-    "ProfileCurve",
-    "ProfileError",
-    "ProfileParams",
-    "ProfileReport",
-    "QuadratureSpec",
-    "RadialFunction",
-    "RadialTwist",
-    "ReturnSystem",
-    "RotForm",
-    "SectionError",
-    "TauProfile",
-    "TauReport",
-    "TminEstimate",
-    "TminLedger",
-    "TraceStep",
-    "Volume",
-    "VolumeBudget",
-    "action",
-    "alpha_pairing",
-    "angular_rates",
-    "assemble",
-    "bound_formula",
-    "calabi",
-    "compose",
-    "compose_action",
-    "contact_check",
-    "dalpha_contraction",
-    "design_profile",
-    "exact_flow",
-    "find_root_1d",
-    "integrate_1d",
-    "integrate_disk",
-    "make_plug",
-    "ode_check",
-    "ode_flow",
-    "orbit_enumerate",
-    "orbit_periods",
-    "periodic_points",
-    "plan_radii",
-    "realize_rotational",
-    "reeb_field",
-    "rescale",
-    "rescale_plug",
-    "return_system",
-    "systolic_bound",
-    "tau_profile",
-    "tmin",
-    "tmin_ledger",
-    "to_rotform",
-    "verify_a",
-    "verify_b",
-    "verify_profile",
-    "volume",
-    "volume_budget",
-    "__version__",
-]
+# the public API: every name imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))
+__all__.append("__version__")

@@ -35,8 +35,9 @@ shared powers); a flow's right-hand side makes one jet call per term.
 
 Periodic points come one record per family.  For a radial map they are
 closed forms too: the origin, the circles where k rho = 2 pi p and the
-bands where that holds identically; other maps run a seeded Newton
-search.
+bands where that holds identically, both from `numerics.resonances`,
+the solver the rotational orbit search also uses; other maps run a
+seeded Newton search.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .numerics import (
     RadialFunction,
     gauss_rule,
     ode_flow,
+    resonances,
 )
 
 _GAUSS5 = gauss_rule(5)
@@ -535,11 +537,9 @@ class ActionField:
 
     The ray and arc line integrals of phi*lam - lam (`_sigma_path`,
     `path_independence_check`) are the independent check of that sum.
-    `spec` is accepted for compatibility and unused.
     """
 
-    def __init__(self, phi: DiskMap, lam: PrimitiveOneForm = LAM0,
-                 spec: QuadratureSpec | None = None):
+    def __init__(self, phi: DiskMap, lam: PrimitiveOneForm = LAM0):
         self.map = phi
         self.lam = lam
         self.anchor = "zero on the boundary identity annulus"
@@ -639,16 +639,14 @@ class ActionField:
         return abs(direct - (self._sigma_path(complex(r)) + arc))
 
 
-def action(phi: DiskMap, lam: PrimitiveOneForm = LAM0,
-           spec: QuadratureSpec | None = None) -> ActionField:
-    return ActionField(phi, lam, spec)
+def action(phi: DiskMap, lam: PrimitiveOneForm = LAM0) -> ActionField:
+    return ActionField(phi, lam)
 
 
-def compose_action(phi: DiskMap, psi: DiskMap, lam: PrimitiveOneForm = LAM0,
-                   spec: QuadratureSpec | None = None):
+def compose_action(phi: DiskMap, psi: DiskMap, lam: PrimitiveOneForm = LAM0):
     """sigma of phi o psi as sigma_phi(psi(z)) + sigma_psi(z) (cocycle rule)."""
-    s_phi = action(phi, lam, spec)
-    s_psi = action(psi, lam, spec)
+    s_phi = action(phi, lam)
+    s_psi = action(psi, lam)
 
     def sigma(z):
         z = np.asarray(z, dtype=complex)
@@ -689,74 +687,44 @@ class PeriodicOrbit:
     r_hi: float
 
 
-_ZERO_REL = 1e-12   # a piece within this share of its scale of zero is identically zero
-
-
 def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
     """The periodic families of a radial map of period <= k_max, in closed form.
 
-    On each piece rho is a cubic; kappa = k rho - 2 pi p is formed for
-    every coprime (p, k) whose 2 pi p / k lies in the piece's Bernstein
-    range.  Pieces on which kappa vanishes identically (|Bernstein
-    coefficients| <= 1e-12 of the end scale k |rho| + 2 pi |p|, the rule
-    of `rotorus.orbit_enumerate`), and the flat tail beyond the support
-    for k = 1, merge into bands; the other roots of kappa are circles.
+    The period-k families are where k rho - 2 pi p vanishes for a p
+    coprime to k.  Every (k, p, piece) whose 2 pi p lies within one turn
+    of the piece's Bernstein range of k rho is posed to
+    `numerics.resonances`: its bands are the bands of the map, and its
+    other roots the circles.  Past the support the flat tail of rho is
+    set to its exact turn 2 pi round(end / 2 pi), so the identity there
+    is a band for k = 1.
     """
     R = phi.radius
     prof = phi.combined_profile()
     rho = PiecewisePoly.from_radial(prof, upto=R)
+    two_pi = 2.0 * math.pi
     if rho.hi[-1] > R:
         rho = rho.restrict(0.0, R)
-    n = rho.lo.size
+    elif prof.knots[-1] < R:   # the flat tail, where the map is the identity: a whole turn
+        rho.coef[-1, 0], rho.err[-1, 0] = two_pi * round(rho.coef[-1, 0] / two_pi), 0.0
     B = rho.bernstein()[0]
-    two_pi = 2.0 * math.pi
     ks = np.arange(1, k_max + 1)[:, None]
-    # every p that the zero rule below can keep: 2 pi p within its
-    # tolerance of the piece's range of k rho
-    top = np.abs(B).max(axis=1)
-    slack = 2.0 * _ZERO_REL * (ks * top + two_pi)
-    p_lo = np.ceil((ks * B.min(axis=1) - slack) / two_pi).astype(int)
-    p_hi = np.floor((ks * B.max(axis=1) + slack) / two_pi).astype(int)
-    count = np.maximum(p_hi - p_lo + 1, 0).ravel()
-    first = np.repeat(np.cumsum(count) - count, count)
-    k = np.repeat(np.broadcast_to(ks, p_lo.shape).ravel(), count)
-    i = np.repeat(np.broadcast_to(np.arange(n), p_lo.shape).ravel(), count)
-    p = np.repeat(p_lo.ravel(), count) + np.arange(count.sum()) - first
+    # every p within a turn of the piece's range of k rho, far wider than
+    # the 1e-12 tolerance within which a row can vanish or change sign
+    p_lo = np.floor(ks * B.min(axis=1) / two_pi).astype(int)
+    p_hi = np.ceil(ks * B.max(axis=1) / two_pi).astype(int)
+    span = p_hi - p_lo
+    k, i, s = np.nonzero(span[..., None] >= np.arange(span.max() + 1))
+    k, p = k + 1, p_lo[k, i] + s
     keep = np.gcd(p, k) == 1
     k, i, p = k[keep], i[keep], p[keep]
-    b = k[:, None] * B[i] - two_pi * p[:, None]
-    scale = k[:, None] * np.abs(B[i][:, [0, -1]]) + two_pi * np.abs(p)[:, None]
-    tol = _ZERO_REL * scale.max(axis=1)
-    zero = np.abs(b).max(axis=1) <= tol
-    if prof.knots[-1] < R:   # past the support the map is the identity
-        zero |= (i == n - 1) & (k == 1) & (p == round(float(prof.values[-1]) / two_pi))
-    live = ~zero & (b.min(axis=1) <= tol) & (b.max(axis=1) >= -tol)
-
-    # bands: runs of consecutive zero pieces of one (k, p)
-    z = np.flatnonzero(zero)
-    z = z[np.lexsort((i[z], p[z], k[z]))]
-    start = np.ones(z.size, dtype=bool)
-    start[1:] = (k[z][1:] != k[z][:-1]) | (p[z][1:] != p[z][:-1]) | (i[z][1:] != i[z][:-1] + 1)
-    stop = np.append(start[1:], True)[:z.size]
-    band_k, band_p = k[z][start], p[z][start]
-    band_lo, band_hi = rho.lo[i[z][start]], rho.hi[i[z][stop]]
-
-    # circles: roots of kappa, each (k, p) its own function
-    j = np.flatnonzero(live)
-    rows = PiecewisePoly(rho.lo[i[j]], rho.hi[i[j]], rho.coef[i[j]], rho.err[i[j]])
-    key = k[j] * (2 * np.abs(p).max(initial=0) + 1) + p[j]   # one label per (k, p)
-    _, one, label = np.unique(key, return_index=True, return_inverse=True)
-    pairs = np.column_stack([k[j][one], p[j][one]])
-    r, g = (rows * k[j].astype(float) - two_pi * p[j]).roots(groups=label)
-    gap = _ZERO_REL * max(1.0, R)
-    inside = r <= 0.0     # the origin is a fixed point, reported on its own
-    for bk, bp, lo, hi in zip(band_k, band_p, band_lo, band_hi):
-        inside |= ((pairs[g, 0] == bk) & (pairs[g, 1] == bp)
-                   & (lo - gap <= r) & (r <= hi + gap))
-    fam_k = np.concatenate([band_k, pairs[g[~inside], 0]])
-    fam_lo = np.concatenate([band_lo, r[~inside]])
-    fam_hi = np.concatenate([band_hi, r[~inside]])
-    if not np.any((band_k == 1) & (band_lo == 0.0)):
+    pairs, label = np.unique(np.column_stack([k, p]), axis=0, return_inverse=True)
+    (band, band_lo, band_hi), (r, g) = resonances(rho, rho.constant(two_pi),
+                                                  [(label.ravel(), i, k, p)])
+    circle = r > 0.0   # the origin is a fixed point, reported on its own
+    fam_k = np.concatenate([pairs[band, 0], pairs[g[circle], 0]])
+    fam_lo = np.concatenate([band_lo, r[circle]])
+    fam_hi = np.concatenate([band_hi, r[circle]])
+    if not np.any((pairs[band, 0] == 1) & (band_lo == 0.0)):
         fam_k, fam_lo, fam_hi = (np.append(fam_k, 1), np.append(fam_lo, 0.0),
                                  np.append(fam_hi, 0.0))
     order = np.lexsort((fam_hi, fam_lo, fam_k))
@@ -774,8 +742,8 @@ def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
                                                   fam_lo, fam_hi)]
 
 
-def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
-                    accept_tol: float = 1e-9, dedup_tol: float = 1e-6) -> list[PeriodicOrbit]:
+def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
+                    n_theta: int = 16) -> list[PeriodicOrbit]:
     """The periodic points of minimal period <= k_max, one record per family.
 
     Radial maps z -> z exp(i rho(|z|)) are solved in closed form, with no
@@ -785,7 +753,7 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
     or band is one record, at its inner radius, with r_lo and r_hi; its
     action sum is k sigma(r), sigma being constant on it, and its
     residual is r |exp(i k rho(r)) - 1|.  The search is exact for
-    periods <= k_max; the grid and tolerance arguments are unused.
+    periods <= k_max; the grid arguments are unused.
     Records come for k ascending, then r ascending.
 
     Every other map runs a polar-grid seeded Newton search.  The seeds
@@ -800,10 +768,10 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
 
     Each seed's orbit z, phi(z), ..., phi^k(z) is then computed once and
     decides everything else.  One rule accepts a seed:
-    |phi^k(z) - z| < accept_tol scale.  It is not minimal when
+    |phi^k(z) - z| < 1e-9 scale.  It is not minimal when
     |phi^j(z) - z| < 1e-8 scale for a proper divisor j of k.  A
     candidate repeats a kept orbit when each of its points lies within
-    dedup_tol of a point of that orbit.  Candidates are taken in seed
+    1e-6 of a point of that orbit.  Candidates are taken in seed
     order, so the first seed of an orbit wins, and the results come for
     k ascending, in seed order within each k; a continuum is reported
     once per seed that lands on it, each record with r_lo = r_hi =
@@ -841,7 +809,7 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
             orbit.append(phi.evaluate(orbit[-1]))
         orbit = np.stack(orbit, axis=1)  # orbit[i, j] = phi^j(seed i's z)
         gap = np.abs(orbit - z[:, None])
-        ok = gap[:, k] < accept_tol * scale
+        ok = gap[:, k] < 1e-9 * scale
         for j in range(1, k):
             if k % j == 0:
                 ok &= gap[:, j] >= 1e-8 * scale
@@ -850,7 +818,7 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24, n_theta: int = 16,
         for i in np.flatnonzero(ok):
             # |candidate point - kept point| over (kept orbit, point, point)
             d = np.abs(pts[i][None, :, None] - pts[kept][:, None, :])
-            if not np.any(np.all(d.min(axis=2) <= dedup_tol, axis=1)):
+            if not np.any(np.all(d.min(axis=2) <= 1e-6, axis=1)):
                 kept.append(i)
         acts = np.sum(sig(pts[kept]), axis=1)
         found.extend(PeriodicOrbit(complex(pts[i, 0]), k, float(a), tuple(pts[i].tolist()),

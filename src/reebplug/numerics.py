@@ -1,5 +1,7 @@
 """Shared numerical kernels: radial Hermite functions, the piecewise-polynomial
-kernel that decides their signs, quadrature, ODE flows, root finding.
+kernel that decides their signs, the resonance solver behind both orbit
+searches (rotational forms, radial disk maps), quadrature, ODE flows,
+root finding.
 
 Everything here is deterministic: fixed quadrature ladders, fixed step
 acceptance rules, no randomness.  Adaptive quadrature, the ODE stepper
@@ -130,12 +132,6 @@ class RadialFunction:
         object.__setattr__(self, "_c3", c3)
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, fn, dfn, knots, parity: str = "none") -> "RadialFunction":
-        knots = np.asarray(knots, dtype=float)
-        return cls(knots, np.array([fn(x) for x in knots], dtype=float),
-                   np.array([dfn(x) for x in knots], dtype=float), parity)
 
     @classmethod
     def bump(cls, amplitude: float, support: float, power: int = 3,
@@ -285,6 +281,7 @@ _SAFE = 1.0 + 2.0 ** -20   # covers the rounding of the error bounds themselves
 _MAX_DEPTH = 40            # halvings before an undecided piece fails
 _ROOT_SLACK = 1e-12        # closed-form roots this far outside [0, 1] snap to the knot
 _ROOT_STEPS = 100          # Newton or bisection steps that locate one cubic root
+_ZERO_REL = 1e-12          # a resonance within this share of its scale of zero vanishes
 
 
 def _gamma(n: int) -> float:
@@ -329,6 +326,12 @@ def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for i in range(a.shape[1]):
         out[:, i:i + nb] += a[:, i:i + 1] * b
     return out
+
+
+def _row_sums(c: np.ndarray) -> np.ndarray:
+    """c.sum(1), rows under 8 long added column by column from 0: the order
+    numpy uses on C-ordered rows that short, several times faster."""
+    return c.sum(1) if c.shape[1] >= 8 else functools.reduce(np.add, c.T, 0.0)
 
 
 def _horner(c: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -648,11 +651,16 @@ class PiecewisePoly:
             c[:, 0], e[:, 0] = _add(c[:, 0], e[:, 0], other, 0.0)
             return PiecewisePoly(self.lo, self.hi, c, e)
         p, q = self._aligned(other)
-        (a, ea), (b, eb) = (p.coef, p.err), (q.coef, q.err)
-        if a.shape[1] != b.shape[1]:
-            n = max(a.shape[1], b.shape[1])
-            a, ea, b, eb = _pad(a, n), _pad(ea, n), _pad(b, n), _pad(eb, n)
-        return PiecewisePoly(p.lo, p.hi, *_add(a, ea, b, eb))
+        if p.coef.shape[1] < q.coef.shape[1]:
+            p, q = q, p
+        w = q.coef.shape[1]
+        if w == p.coef.shape[1]:
+            return PiecewisePoly(p.lo, p.hi, *_add(p.coef, p.err, q.coef, q.err))
+        # the narrower added into a copy of the wider, as _add of both padded
+        c, e = p.coef.copy(), p.err.copy()
+        c[:, :w] += q.coef
+        e[:, :w] += q.err
+        return PiecewisePoly(p.lo, p.hi, c, e + _U * np.abs(c))
 
     __radd__ = __add__
 
@@ -664,8 +672,10 @@ class PiecewisePoly:
 
     def __mul__(self, other) -> "PiecewisePoly":
         if not isinstance(other, PiecewisePoly):
-            c, e = _mul(self.coef, self.err, np.reshape(other, (-1, 1)), 0.0)
-            return PiecewisePoly(self.lo, self.hi, c, e)
+            # _mul with an exact factor, its zero terms left out
+            s = np.reshape(other, (-1, 1))
+            c = self.coef * s
+            return PiecewisePoly(self.lo, self.hi, c, np.abs(s) * self.err + _U * np.abs(c))
         p, q = self._aligned(other)
         if p.coef.shape[1] > q.coef.shape[1]:
             p, q = q, p
@@ -678,6 +688,10 @@ class PiecewisePoly:
                              (x - y) + 4.0 * _gamma(aa.shape[1] + 2) * x)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, scalar: float) -> "PiecewisePoly":
+        c = self.coef / scalar
+        return PiecewisePoly(self.lo, self.hi, c, self.err / abs(scalar) + _U * np.abs(c))
 
     def derivative(self) -> "PiecewisePoly":
         """d/dr, piece by piece."""
@@ -772,11 +786,12 @@ class PiecewisePoly:
         """(values, r): per group label 0, 1, ... of the pieces, the minimum
         (largest: maximum) of this function, or of its ratio to den > 0.
 
-        Starts from each group's best piece-end value m, drops every piece
-        on which the Bernstein coefficients of P - m den show that it
-        cannot beat m beyond rounding, and evaluates the rest at the real
-        roots of P' den - P den' (batched companion eigenvalues).  At r = 0
-        the ratio takes its limit, common exact zeros factored out.
+        Starts from each group's best piece-end value m (at a knot that two
+        pieces of a group share, the one of smaller rounding bound), drops
+        every piece on which the Bernstein coefficients of P - m den show
+        that it cannot beat m beyond rounding, and evaluates the rest at
+        the real roots of P' den - P den' (batched companion eigenvalues).
+        At r = 0 the ratio takes its limit, common exact zeros factored out.
         """
         P = -self if largest else self
         if den is None:
@@ -789,11 +804,17 @@ class PiecewisePoly:
         groups = np.asarray(groups)
         t = np.repeat([[0.0, 1.0]], n, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.stack([pc[:, 0] / qc[:, 0], pc.sum(1) / qc.sum(1)], axis=1)
+            q0, q1 = qc[:, 0], _row_sums(qc)
+            vals = np.stack([pc[:, 0] / q0, _row_sums(pc) / q1], axis=1)
+            e0 = (P.err[:, 0] + np.abs(vals[:, 0]) * Q.err[:, 0]) / np.abs(q0)
+            e1 = (_row_sums(P.err) + np.abs(vals[:, 1]) * _row_sums(Q.err)) / np.abs(q1)
+        knot = (P.hi[:-1] == P.lo[1:]) & (groups[:-1] == groups[1:])
+        vals[:-1, 1][knot & (e1[:-1] > e0[1:])] = np.nan
+        vals[1:, 0][knot & (e0[1:] > e1[:-1])] = np.nan
         m, r_m = _group_best(P, groups, t, vals, np.arange(n))
         with np.errstate(invalid="ignore"):
             # a group already at -inf keeps nothing (NaN compares false)
-            D = P - Q * m[groups]
+            D = P + Q * -m[groups]
             B, E = _bernstein(D.coef, D.err)
             keep = np.flatnonzero(np.any(B + E * _SAFE < 0.0, axis=1))
         if keep.size:
@@ -852,6 +873,65 @@ class PiecewisePoly:
         keep = np.ones(r.size, dtype=bool)
         keep[1:] = (rg[1:] != rg[:-1]) | (np.diff(r) > gap[1:])
         return r[keep] if groups is None else (r[keep], rg[keep])
+
+
+def resonances(a: PiecewisePoly, b: PiecewisePoly, blocks):
+    """Where m a - n b vanishes, for integer multipliers m and n.
+
+    a and b share their pieces, which are contiguous.  `blocks` yields
+    arrays (label, piece, m, n) with one entry per row: row j poses
+    m[j] a - n[j] b on piece piece[j], and the rows with one label,
+    which all come in one block, are the pieces of one function.  A row
+    vanishes identically when all its Bernstein coefficients (m and n
+    times those of a and b) lie within 1e-12 of its scale, the larger
+    over the piece ends of |m||a| + |n||b|; it is live when they can
+    change sign otherwise.
+
+    Returns ((label, lo, hi), (r, label)): the bands, maximal runs of
+    consecutive vanishing pieces of one label, and the roots of the live
+    rows (as in `PiecewisePoly.roots`, each label its own function) less
+    those within 1e-12 max(1, R) of a band of their own label, R the
+    largest |r| on a's pieces.  Within a block both come sorted by
+    label, then radius.
+    """
+    w = max(a.coef.shape[1], b.coef.shape[1])
+    ac, bc, ea, eb = _pad(a.coef, w), _pad(b.coef, w), _pad(a.err, w), _pad(b.err, w)
+    to_bernstein = _bernstein_matrix(w - 1)
+    # row k: every piece's k-th Bernstein coefficient (1D rows are the fastest form)
+    a_bern, b_bern = ((c @ to_bernstein).T.copy() for c in (ac, bc))
+    gap = _ZERO_REL * max(1.0, float(np.abs(a.hi).max()))
+    bands = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0))]
+    roots = [(np.zeros(0), np.zeros(0, dtype=int))]
+    for label, piece, m, n in blocks:
+        m, n = np.asarray(m, dtype=float), np.asarray(n, dtype=float)
+        ma = [m * a_bern[k].take(piece) for k in range(w)]
+        nb = [n * b_bern[k].take(piece) for k in range(w)]
+        cols = [x - y for x, y in zip(ma, nb)]
+        b_lo, b_hi = functools.reduce(np.minimum, cols), functools.reduce(np.maximum, cols)
+        tol = _ZERO_REL * np.maximum(np.abs(ma[0]) + np.abs(nb[0]),
+                                     np.abs(ma[-1]) + np.abs(nb[-1]))
+        zero = np.maximum(b_hi, -b_lo) <= tol
+
+        z = np.flatnonzero(zero)
+        band = bands[0]   # empty, until this block has a band
+        if z.size:
+            z = z[np.lexsort((piece[z], label[z]))]
+            first = np.ones(z.size, dtype=bool)
+            first[1:] = (label[z][1:] != label[z][:-1]) | (piece[z][1:] != piece[z][:-1] + 1)
+            band = label[z][first], a.lo[piece[z][first]], a.hi[piece[z][np.roll(first, -1)]]
+            bands.append(band)
+        j = np.flatnonzero(~zero & (b_lo <= tol) & (b_hi >= -tol))
+        if j.size:
+            i, base = piece[j], label[j].min()
+            c, e = _add(*_mul(ac[i], ea[i], m[j, None], 0.0),
+                        *_mul(bc[i], eb[i], -n[j, None], 0.0))
+            r, g = PiecewisePoly(a.lo[i], a.hi[i], c, e).roots(groups=label[j] - base)
+            g = g + base
+            inside = ((g[:, None] == band[0]) & (band[1] - gap <= r[:, None])
+                      & (r[:, None] <= band[2] + gap)).any(axis=1)
+            roots.append((r[~inside], g[~inside]))
+    return (tuple(np.concatenate(x) for x in zip(*bands)),
+            tuple(np.concatenate(x) for x in zip(*roots)))
 
 
 def gauss_rule(n: int):

@@ -309,7 +309,7 @@ def _bridge_margins(p: ProfileParams, parts: _Parts) -> np.ndarray:
     return np.minimum(s4[:k], s5[:k])
 
 
-def design_profile(params: ProfileParams, gap_factor: float = 1.9) -> ProfileCurve:
+def design_profile(params: ProfileParams) -> ProfileCurve:
     """Construct a curve passing all five conditions.
 
     The outer arcs are fixed by B1 and B3.  The interior is a two-knot
@@ -318,17 +318,15 @@ def design_profile(params: ProfileParams, gap_factor: float = 1.9) -> ProfileCur
     the line at r0.  All candidates are decided at once by the checks
     of verify_profile, and the survivor with the largest minimum
     turning margin on the bridge wins.  The drop g(r0) - g(rho) is set
-    to gap_factor * delta, inside the 2*delta budget.
+    to 1.9 delta, inside the 2 delta budget.
     """
     p = params
     if not p.feasible():
         raise ProfileError(
             f"infeasible: s (1 - r1^2) = {p.s * (1 - p.r1 ** 2):.6g} "
             f"must be < delta = {p.delta:.6g}")
-    if not 1.0 < gap_factor < 2.0:
-        raise ProfileError("gap_factor must sit in (1, 2)")
     g_rho = p.s * (1.0 - p.rho ** 2)
-    g0 = g_rho + gap_factor * p.delta
+    g0 = g_rho + 1.9 * p.delta
     f0 = 1.0 + p.delta - g0
     if f0 <= (0.45 * p.r0) ** 2:
         raise ProfileError("delta too large: the drop target swallows "
@@ -408,12 +406,11 @@ class TauReport:
 
     @property
     def passed(self) -> bool:
-        # min tau = 1 - sup deviation when monotone, so the lower bound
-        # 1/(1+delta) = 1 - deviation_bound is part of the same check
+        # tau is monotone, with values in [1/(1 + delta), 1]; 1/(1 + delta)
+        # = 1 - deviation_bound
         return (self.monotone_margin <= 1e-10
-                and self.max_value <= 1.0 + 1e-10
-                and self.min_value >= 1.0 - self.deviation_bound - 1e-10
-                and self.sup_deviation <= self.deviation_bound + 1e-12)
+                and self.min_value >= 1.0 - self.deviation_bound - 1e-12
+                and self.max_value <= 1.0 + 1e-10)
 
     def to_dict(self) -> dict:
         return {"monotone_margin": self.monotone_margin,

@@ -6,9 +6,9 @@ two even radial coefficients.  Everything downstream of the contact
 condition W = c'd - cd' > 0 is closed-form: the Reeb field rotates both
 angles at r-dependent rates, the return systems of the two natural
 sections have explicit time and shift, closed orbits sit on resonant
-tori found as the closed-form roots of a quadratic per knot interval,
-and the volume is 2*pi*P times the exact integral of W (cross-checked
-by integrating the return time over a section).  The sign conditions
+tori (`numerics.resonances` of a quadratic per knot interval), and the
+volume is 2*pi*P times the exact integral of W (cross-checked by
+integrating the return time over a section).  The sign conditions
 (W > 0, transversality) are decided by the piecewise-polynomial
 kernel, not sampled.
 """
@@ -27,6 +27,7 @@ from .numerics import (
     RadialFunction,
     gauss_piecewise,
     ode_flow,
+    resonances,
 )
 
 DISK_PERIOD = 2.0 * math.pi
@@ -269,11 +270,6 @@ class ReturnSystem:
             out = np.where(at0, lim, DISK_PERIOD * cp / den)
         return float(out) if r.ndim == 0 else out
 
-    def rotation_ratio(self, r):
-        """shift / fiber of the complementary angle: the resonance number."""
-        other = DISK_PERIOD if self.section == "core-angle" else self.form.core_period
-        return self.shift(r) / other
-
 
 def return_system(form: RotForm, section: str) -> ReturnSystem:
     """Return data on a section, after deciding transversality on (0, R]."""
@@ -379,13 +375,12 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
     A radius is resonant for coprime (p, q) when q*(-d')/(2*pi) equals
     p*c'/P there (the rate-ratio condition cleared of its denominator W,
     so it has no poles).  That function is a quadratic on each knot
-    interval.  The pairs are searched in blocks of about 4096 (pair,
-    piece) rows: one array pass decides which pieces vanish identically
-    (to 1e-12 of their scale; runs of them merge into bands) and which
-    can change sign, and one closed-form call solves all of the latter,
-    a root on a shared knot reported once per pair.  The turn bounds
-    come from the exact suprema of |d'|/W and |c'|/W.  Every record is
-    re-verified by closing the exact flow to 1e-8 in both angles.
+    interval.  `numerics.resonances` solves every pair, in blocks of
+    about 4096 (pair, piece) rows: runs of pieces where it vanishes
+    identically are bands, each placed at its smallest period, and its
+    other roots are isolated tori.  The turn bounds come from the exact
+    suprema of |d'|/W and |c'|/W.  Every record is re-verified by
+    closing the exact flow to 1e-8 in both angles.
     """
     if q_max < 0:
         raise ValueError("q_max must be >= 0")
@@ -409,51 +404,30 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
         warnings.warn(f"clamping disk-turn bound from {p_max} to {_P_CLAMP}")
         p_max = _P_CLAMP
 
-    coef_q = -dp.coef / DISK_PERIOD
-    coef_p = cp.coef / form.core_period
-    # the quadratics' Bernstein coefficients (columns) and end values
-    to_bernstein = np.array([[1.0, 1.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]])
-    bern_q, bern_p = (coef @ to_bernstein for coef in (coef_q, coef_p))
-    ends_q, ends_p = np.abs(bern_q[:, ::2]), np.abs(bern_p[:, ::2])
-    gap = 1e-12 * max(1.0, form.radius)
+    # q (-d')/(2 pi) - p c'/P, one row per (pair, piece), in blocks of
+    # about _BLOCK_ROWS rows
     p_all, q_all = _coprime_pairs(p_max, q_eff)
-    block = max(1, _BLOCK_ROWS // cp.lo.size)
-    found = []   # candidate rows (pair, r, r_lo, r_hi), per block bands first
-    for start in range(0, p_all.size, block):
-        p = p_all[start:start + block, None, None]
-        q = q_all[start:start + block, None, None]
-        g = q * coef_q - p * coef_p
-        b = q * bern_q - p * bern_p
-        b_lo = np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2])
-        b_hi = np.maximum(np.maximum(b[..., 0], b[..., 1]), b[..., 2])
-        scale = np.abs(q) * ends_q + np.abs(p) * ends_p
-        tol = 1e-12 * np.maximum(scale[..., 0], scale[..., 1])
-        # identically zero: |g| <= 1e-12 (|q| |coef_q| + |p| |coef_p|) on the piece
-        zero = np.maximum(b_hi, -b_lo) <= tol
-        bands = []
-        for k in np.flatnonzero(zero.any(axis=1)):
-            # maximal runs of identically resonant pieces are bands, with r
-            # at the smallest period T = q P W/|c'| (q = 0: |p| 2 pi W/|d'|)
-            edge = np.diff(np.concatenate([[0], zero[k].astype(int), [0]]))
-            for i, j in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
-                lo, hi = float(cp.lo[i]), float(cp.hi[j - 1])
-                rate, fn = (cp, form.c) if q_all[start + k] != 0 else (dp, form.d)
-                sign = 1.0 if fn.derivative(0.5 * (lo + hi)) > 0.0 else -1.0
-                r = W.restrict(lo, hi).extreme(rate.restrict(lo, hi) * sign)[1]
-                # a band closing onto the core never undercuts q times the
-                # core period there, and its tori need r > 0
-                bands.append((start + k, r if r > 0.0 else hi, lo, hi))
-        # roots only where the Bernstein coefficients can change sign; each
-        # pair is its own function, so a knot root merges within its pair
-        k, i = np.nonzero(~zero & (b_lo <= tol) & (b_hi >= -tol))
-        live = PiecewisePoly(cp.lo[i], cp.hi[i], g[k, i], np.zeros((k.size, g.shape[2])))
-        r, own = live.roots(groups=k)
-        inside = np.zeros(r.size, dtype=bool)
-        for pair, _, lo, hi in bands:
-            inside |= (own == pair - start) & (lo - gap <= r) & (r <= hi + gap)
-        found += [np.array(bands).reshape(-1, 4),
-                  np.stack([start + own, r, r, r], axis=1)[~inside]]
-    pair, r, r_lo, r_hi = np.concatenate(found).T
+    p_f, q_f = p_all.astype(float), q_all.astype(float)
+    n = cp.lo.size
+    step = max(1, _BLOCK_ROWS // n)
+    pieces = np.tile(np.arange(n), step)
+    blocks = (np.repeat(np.arange(start, min(start + step, p_all.size)), n)
+              for start in range(0, p_all.size, step))
+    (b_pair, b_lo, b_hi), (r, own) = resonances(
+        dp / -DISK_PERIOD, cp / form.core_period,
+        ((pair, pieces[:pair.size], q_f[pair], p_f[pair]) for pair in blocks))
+    found = []   # candidate rows (pair, r, r_lo, r_hi): the bands, then the roots
+    for k, lo, hi in zip(b_pair, b_lo, b_hi):
+        # a band's torus sits at its smallest period T = q P W/|c'|
+        # (q = 0: |p| 2 pi W/|d'|)
+        rate, fn = (cp, form.c) if q_all[k] != 0 else (dp, form.d)
+        sign = 1.0 if fn.derivative(0.5 * (lo + hi)) > 0.0 else -1.0
+        r_min = W.restrict(lo, hi).extreme(rate.restrict(lo, hi) * sign)[1]
+        # a band closing onto the core never undercuts q times the core
+        # period there, and its tori need r > 0
+        found.append((k, r_min if r_min > 0.0 else hi, lo, hi))
+    pair, r, r_lo, r_hi = np.concatenate([np.array(found).reshape(-1, 4),
+                                          np.stack([own, r, r, r], axis=1)]).T
     p, q = p_all[pair.astype(int)], q_all[pair.astype(int)]
 
     period = _torus_period(form, r, p, q)

@@ -186,7 +186,7 @@ def test_dsigma_is_pullback_difference():
     phi = DiskMap(1.0, (
         HamiltonianStep((BumpHarmonic(2, "cos", 0.08, 0.7),), time=0.5),
     ))
-    sig = action(phi, spec=QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13))
+    sig = action(phi)
     h = 1e-4
     for z in (0.2 + 0.1j, 0.35 - 0.2j):
         for v in (1.0 + 0.0j, 0.0 + 1.0j):
@@ -200,7 +200,7 @@ def test_path_independence_diagnostic():
     sig = action(phi)
     assert sig.path_independence_check(0.4 + 0.3j) < 1e-8
     ham = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(1, "sin", 0.1, 0.6),), time=0.3),))
-    sh = action(ham, spec=QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12))
+    sh = action(ham)
     assert sh.path_independence_check(0.25 + 0.15j) < 1e-6
 
 

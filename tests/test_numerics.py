@@ -17,6 +17,7 @@ from reebplug.numerics import (
     integrate_1d,
     integrate_disk,
     ode_flow,
+    resonances,
 )
 
 # Frozen oracle: int_0^1 s(1-s^2)^3 ds = 1/8  (antiderivative -(1-s^2)^4/8).
@@ -525,3 +526,74 @@ def test_integral_matches_exact(seed):
         bound = np.sum(h * (poly.err @ w)) + gamma * np.sum(h * (np.abs(poly.coef) @ w))
         gap = abs(Fraction(poly.integral()) - _exact_integral(exact, poly.lo, poly.hi))
         assert gap <= Fraction(float(bound)), (seed, float(gap), float(bound))
+
+
+def test_extremes_take_a_shared_knot_from_the_tighter_side():
+    # f = 1 - r on [0, 1], 2 r - 1 on [1, 2]: the minimum 0 sits on the
+    # shared knot.  The left piece's end value reads 1e-12 low and carries
+    # a rounding bound of 1e-9; the right piece's start value is exact.
+    f = PiecewisePoly(np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                      np.array([[1.0, -1.0 - 1e-12], [0.0, 1.0]]),
+                      np.array([[0.0, 1e-9], [0.0, 0.0]]))
+    assert f.extreme() == (0.0, 1.0)
+    # with the bounds swapped, the low value is the better-founded one
+    g = PiecewisePoly(f.lo, f.hi, f.coef, np.array([[0.0, 0.0], [1e-9, 0.0]]))
+    assert g.extreme() == (1.0 + (-1.0 - 1e-12), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# resonances: the shared zero rule, band merge and own-band root filter
+# ---------------------------------------------------------------------------
+
+def _lines(lo, hi, value, slope):
+    """value(lo) + slope (r - lo) on each piece, as local coefficients."""
+    return np.stack([value, slope * (hi - lo)], axis=1)
+
+
+def test_resonances_merge_a_band_and_drop_only_its_own_roots():
+    # pieces [0, 1/4], ..., [3/4, 1] twice; b = 1.  Label 0 (pieces 0-3)
+    # poses a - b = 0 on [1/4, 3/4], 1/4 - r before and r - 3/4 after it;
+    # label 1 (pieces 4-7) poses a - b = r - 3/4.
+    knots = np.linspace(0.0, 1.0, 5)
+    lo, hi = np.tile(knots[:-1], 2), np.tile(knots[1:], 2)
+    gap0 = np.array([0.25 - lo[0], 0.0, 0.0, lo[3] - 0.75])
+    slope0 = np.array([-1.0, 0.0, 0.0, 1.0])
+    coef = np.concatenate([_lines(lo[:4], hi[:4], 1.0 + gap0, slope0),
+                           _lines(lo[4:], hi[4:], 1.0 + lo[4:] - 0.75, np.ones(4))])
+    a = PiecewisePoly(lo, hi, coef, np.zeros_like(coef))
+    b = a.constant(1.0)
+    label = np.repeat([0, 1], 4)
+    (band, band_lo, band_hi), (r, own) = resonances(
+        a, b, [(label, np.arange(8), np.ones(8), np.ones(8))])
+    # one band across pieces 1 and 2, with its [lo, hi]
+    assert band.tolist() == [0]
+    assert (band_lo.tolist(), band_hi.tolist()) == ([0.25], [0.75])
+    # label 0's knot roots 1/4 and 3/4 touch its band and are dropped;
+    # label 1's root 3/4, at the same radius, stays
+    assert own.tolist() == [1]
+    assert r == pytest.approx([0.75], abs=1e-15)
+    # vanishing pieces of two labels stay two bands, even when consecutive
+    flat = PiecewisePoly(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.ones((2, 1)),
+                         np.zeros((2, 1)))
+    (band, band_lo, band_hi), _ = resonances(
+        flat, flat, [(np.array([0, 1]), np.array([0, 1]), np.ones(2), np.ones(2))])
+    assert (band.tolist(), band_lo.tolist(), band_hi.tolist()) == ([0, 1], [0.0, 1.0],
+                                                                   [1.0, 2.0])
+
+
+@pytest.mark.parametrize("share, vanishes", [(1e-13, True), (3e-13, True),
+                                             (3e-12, False), (1e-11, False)])
+def test_resonances_zero_rule_is_one_part_in_1e12(share, vanishes):
+    # a - b = eps (1 - 2 t) on [0, 1] with b = 1: |m||a| + |n||b| is about
+    # 2 at both ends, and eps is `share` of it
+    eps = 2.0 * share
+    a = PiecewisePoly(np.array([0.0]), np.array([1.0]), np.array([[1.0 + eps, -2.0 * eps]]),
+                      np.zeros((1, 2)))
+    (band, band_lo, band_hi), (r, own) = resonances(
+        a, a.constant(1.0), [(np.array([0]), np.array([0]), np.ones(1), np.ones(1))])
+    if vanishes:
+        assert (band.tolist(), band_lo.tolist(), band_hi.tolist()) == ([0], [0.0], [1.0])
+        assert r.size == 0
+    else:
+        assert band.size == 0
+        assert r == pytest.approx([0.5], abs=1e-4)   # eps is rounded against 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reebplug.numerics import RadialFunction
@@ -254,6 +254,11 @@ def test_curve_serialization_roundtrip(curve):
     u0=st.floats(0.1, 0.3),
     u1=st.floats(0.3, 0.7),
 )
+# tau's minimum 1/(1 + delta) sits on the knot r1, where the bridge piece's
+# end value reads 1.6e-12 low (its rounding bound is 5e-10) and the outer
+# arc's start value is within 6e-15
+@example(s=0.0018488303433513984, delta=0.20854788573953909, rho=0.4057795911341834,
+         u0=0.3, u1=0.4189844474992267)
 def test_design_property(s, delta, rho, u0, u1):
     r0 = rho * u0
     r1 = r0 + (rho - r0) * u1
