@@ -59,6 +59,7 @@ from .numerics import (
 
 _GAUSS5 = gauss_rule(5)
 _GAUSS15 = gauss_rule(15)
+SEED_GRID = (24, 16)   # periodic_points' default n_r x n_theta Newton seeds
 
 
 def _gauss_pieces(fn, lo, hi):
@@ -742,8 +743,8 @@ def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
                                                   fam_lo, fam_hi)]
 
 
-def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
-                    n_theta: int = 16) -> list[PeriodicOrbit]:
+def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
+                    n_theta: int = SEED_GRID[1]) -> list[PeriodicOrbit]:
     """The periodic points of minimal period <= k_max, one record per family.
 
     Radial maps z -> z exp(i rho(|z|)) are solved in closed form, with no

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -23,6 +22,10 @@ __all__ = ["Series", "line_plot", "profile_plot", "tau_plot", "orbit_plot"]
 _PALETTE = ("#1f6fb2", "#d1495b", "#3f7d20", "#8a5a83", "#c77d1e", "#2a9d8f")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 64, 18, 36, 48
+
+
+def _escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x: float) -> str:
@@ -96,7 +99,7 @@ def line_plot(series: Sequence[Series], title: str, xlabel: str, ylabel: str,
            f'height="{_H}" viewBox="0 0 {_W} {_H}">',
            f'<rect width="{_W}" height="{_H}" fill="#ffffff"/>',
            f'<text x="{_W // 2}" y="22" font-family="monospace" '
-           f'font-size="14" text-anchor="middle">{escape(title)}</text>']
+           f'font-size="14" text-anchor="middle">{_escape(title)}</text>']
 
     axis = '#303030'
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
@@ -118,11 +121,11 @@ def line_plot(series: Sequence[Series], title: str, xlabel: str, ylabel: str,
                    f'text-anchor="end">{_fmt(t)}</text>')
     out.append(f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 10}" '
                f'font-family="monospace" font-size="12" '
-               f'text-anchor="middle">{escape(xlabel)}</text>')
+               f'text-anchor="middle">{_escape(xlabel)}</text>')
     out.append(f'<text x="16" y="{(_MT + _H - _MB) // 2}" '
                f'font-family="monospace" font-size="12" '
                f'text-anchor="middle" transform="rotate(-90 16 '
-               f'{(_MT + _H - _MB) // 2})">{escape(ylabel)}</text>')
+               f'{(_MT + _H - _MB) // 2})">{_escape(ylabel)}</text>')
 
     for x, label in vlines:
         X = px(x)
@@ -131,7 +134,7 @@ def line_plot(series: Sequence[Series], title: str, xlabel: str, ylabel: str,
                    f'stroke-dasharray="2,3"/>')
         out.append(f'<text x="{X + 3:.2f}" y="{_MT + 12}" '
                    f'font-family="monospace" font-size="11" '
-                   f'fill="#555555">{escape(label)}</text>')
+                   f'fill="#555555">{_escape(label)}</text>')
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -155,7 +158,7 @@ def line_plot(series: Sequence[Series], title: str, xlabel: str, ylabel: str,
         out.append(f'<line x1="{X}" y1="{Y - 4}" x2="{X + 22}" y2="{Y - 4}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{X + 28}" y="{Y}" font-family="monospace" '
-                   f'font-size="11">{escape(s.label)}</text>')
+                   f'font-size="11">{_escape(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

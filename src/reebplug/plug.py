@@ -7,6 +7,8 @@ where sigma is the lam0-action of phi.  The suspension itself is never
 built; its closed orbits, return data, and volume are all read off the
 pair (phi, tau), and a closed-form rotational realization provides an
 independent 3D consistency witness whenever phi is a radial twist.
+`make_plug` settles the minimum of sigma once, on the plug; each
+verifier reads it there and makes one `orbit_periods` pass.
 
 Two axiom families are verified.  The a-family is the unit-fiber
 contract of an assembled piece (orbits no shorter than 1, volume below
@@ -19,11 +21,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diskmap import (ActionField, DiskMap, PeriodicOrbit, RadialTwist,
+from .diskmap import (SEED_GRID, ActionField, DiskMap, PeriodicOrbit, RadialTwist,
                       action, calabi, periodic_points, rescale)
 from .numerics import PiecewisePoly, RadialFunction, gauss_piecewise, integrate_disk
 from .rotorus import RotForm, contact_check
@@ -41,14 +43,18 @@ class PlugError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PlugSystem:
-    """Disk radius, fiber length L, map, and its action field."""
+    """Disk radius, fiber length L, map, action field, min sigma and its point."""
 
     radius: float
     L: float
     map: DiskMap
     sigma: ActionField
-    tau_min: float
+    sigma_min: float
     tau_argmin: complex
+
+    @property
+    def tau_min(self) -> float:
+        return self.L + self.sigma_min
 
     def tau(self, z):
         """Return time L + sigma(z)."""
@@ -77,30 +83,26 @@ class PlugSystem:
         return make_plug(DiskMap.from_dict(d["map"]), float(d["L"]))
 
 
-def _radial_min_sigma(rho: RadialFunction, sigma: ActionField) -> tuple[float, float]:
-    """Exact minimum of a radial twist's action and its radius.
-
-    sigma' = r^2 rho' / 2 vanishes only at 0 and where rho' does, so the
-    minimum sits at 0, a knot (the support end included) or a real root
-    of rho', a quadratic per knot interval solved in closed form.
-    """
-    cand = np.union1d(np.append(rho.knots, 0.0),
-                      PiecewisePoly.from_radial(rho).derivative().roots())
-    vals = sigma.radial_profile(cand)
-    i = int(np.argmin(vals))
-    return float(vals[i]), float(cand[i])
-
-
 def _min_sigma(phi: DiskMap, sigma: ActionField,
                n_r: int = 256, n_theta: int = 64) -> tuple[float, complex]:
-    """Minimum of sigma: exact for radial maps, else a polar grid of
-    n_r x n_theta points with deterministic local refinement."""
+    """Minimum of sigma and a point where it is reached.
+
+    Exact for radial maps: sigma' = r^2 rho' / 2 vanishes only at 0 and
+    where rho' does, so the minimum sits at 0, a knot (the support end
+    included) or a real root of rho', a quadratic per knot interval
+    solved in closed form.  Other maps: a polar grid of n_r x n_theta
+    points with deterministic local refinement.
+    """
     S = phi.support
     if S == 0.0:
         return 0.0, 0.0 + 0.0j
     if phi.is_radial:
-        value, r = _radial_min_sigma(phi.combined_profile(), sigma)
-        return value, complex(r)
+        rho = phi.combined_profile()
+        cand = np.union1d(np.append(rho.knots, 0.0),
+                          PiecewisePoly.from_radial(rho).derivative().roots())
+        vals = sigma.radial_profile(cand)
+        i = int(np.argmin(vals))
+        return float(vals[i]), complex(cand[i])
     radii = np.linspace(S / n_r, S, n_r)
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     zz = np.concatenate([[0.0 + 0.0j],
@@ -134,22 +136,20 @@ def make_plug(phi: DiskMap, L: float,
         raise PlugError("fiber length must be positive")
     sigma = action(phi)
     sig_min, z_at = _min_sigma(phi, sigma, n_r, n_theta)
-    tau_min = L + sig_min
-    if tau_min <= 0.0:
+    if L + sig_min <= 0.0:
         raise PlugError(
-            f"tau <= 0: tau({z_at.real:.6g}, {z_at.imag:.6g}) = {tau_min:.6g}")
-    return PlugSystem(phi.radius, L, phi, sigma, tau_min, z_at)
+            f"tau <= 0: tau({z_at.real:.6g}, {z_at.imag:.6g}) = {L + sig_min:.6g}")
+    return PlugSystem(phi.radius, L, phi, sigma, sig_min, z_at)
 
 
-def orbit_periods(plug: PlugSystem, k_max: int,
-                  n_r: int = 24, n_theta: int = 16) -> list[tuple[PeriodicOrbit, float]]:
-    """The map's periodic families (see periodic_points) with T = sum of
-    tau along one orbit of each.
+def orbit_periods(plug: PlugSystem, k_max: int) -> list[tuple[PeriodicOrbit, float]]:
+    """The map's periodic families (see periodic_points, default seed grid)
+    with T = sum of tau along one orbit of each.
 
     T = k L + sum of sigma over the orbit; the list is sorted by
     (T, combinatorial period, radius) for reproducibility.
     """
-    orbs = periodic_points(plug.map, k_max, n_r=n_r, n_theta=n_theta)
+    orbs = periodic_points(plug.map, k_max)
     out = [(o, o.period * plug.L + o.action_sum) for o in orbs]
     out.sort(key=lambda item: (round(item[1], 12), item[0].period,
                                round(abs(item[0].point), 9)))
@@ -199,49 +199,47 @@ class PlugReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _search_method(phi: DiskMap, k_max: int, n_r: int, n_theta: int) -> tuple[dict, str]:
-    """How periodic_points searches phi: the report's search entries and
+def _search_method(phi: DiskMap, k_max: int) -> tuple[dict, str]:
+    """How orbit_periods searches phi: the report's search entries and
     the completeness note of the checks that read it."""
     if phi.is_radial:
         return ({"method": "closed-form families"},
                 f"closed-form families, exact for periods <= {k_max}")
+    n_r, n_theta = SEED_GRID
     return ({"method": "newton grid", "n_r": n_r, "n_theta": n_theta},
             f"newton grid, up to search completeness "
             f"(k_max = {k_max}, grid = {n_r}x{n_theta})")
 
 
-def verify_b(phi: DiskMap, L: float, n: int, eps: float,
-             k_max: int | None = None,
-             n_r: int = 24, n_theta: int = 16) -> PlugReport:
-    """Check the b-family for (phi, L) at sharpness n and budget eps.
+def verify_b(plug: PlugSystem, n: int, eps: float,
+             k_max: int | None = None) -> PlugReport:
+    """Check the b-family for the plug at sharpness n and budget eps.
 
-    b1: min sigma >= -L + L/n (grid + refinement); b2: CAL < -L pi r^2
+    b1: min sigma >= -L + L/n, read from the plug; b2: CAL < -L pi r^2
     + eps; b3: every detected fixed point has non-negative action;
     b4: no detected periodic orbit has minimal period in [2, n-1].
-    b3 and b4 read periodic_points: exact for radial maps up to k_max,
+    b3 and b4 read orbit_periods: exact for radial maps up to k_max,
     a bounded Newton search otherwise; `search` and the notes say which.
     """
-    if L <= 0.0 or eps <= 0.0 or n < 1:
-        raise ValueError("need L > 0, eps > 0, n >= 1")
+    if eps <= 0.0 or n < 1:
+        raise ValueError("need eps > 0, n >= 1")
     k_search = n if k_max is None else k_max
     if k_search < n:
         warnings.warn(f"k_max = {k_search} below n = {n}: the b4 search "
                       "cannot cover every short period", stacklevel=2)
-    sigma = action(phi)
-    sig_min, z_min = _min_sigma(phi, sigma)
-    floor = -L + L / n
-    b1 = AxiomCheck("b1", sig_min >= floor, floor - sig_min,
-                    note=f"min sigma = {sig_min:.9g} at floor {floor:.9g}",
-                    witness=(z_min.real, z_min.imag))
+    floor = -plug.L + plug.L / n
+    b1 = AxiomCheck("b1", plug.sigma_min >= floor, floor - plug.sigma_min,
+                    note=f"min sigma = {plug.sigma_min:.9g} at floor {floor:.9g}",
+                    witness=(plug.tau_argmin.real, plug.tau_argmin.imag))
 
-    cal = calabi(phi)
-    cap = -L * math.pi * phi.radius ** 2 + eps
+    cal = calabi(plug.map)
+    cap = -plug.L * math.pi * plug.radius ** 2 + eps
     b2 = AxiomCheck("b2", cal < cap, cal - cap,
                     note=f"CAL = {cal:.9g}, cap = {cap:.9g}")
 
-    orbs = periodic_points(phi, max(k_search, 1), n_r=n_r, n_theta=n_theta)
-    method, completeness = _search_method(phi, k_search, n_r, n_theta)
-    fixed = [o for o in orbs if o.period == 1]
+    found = orbit_periods(plug, max(k_search, 1))
+    method, completeness = _search_method(plug.map, k_search)
+    fixed = [o for o, _ in found if o.period == 1]
     if fixed:
         worst = min(fixed, key=lambda o: o.action_sum)
         b3 = AxiomCheck("b3", worst.action_sum >= -B3_TOL, -worst.action_sum,
@@ -250,25 +248,23 @@ def verify_b(phi: DiskMap, L: float, n: int, eps: float,
     else:
         b3 = AxiomCheck("b3", True, 0.0, note="no fixed points detected; " + completeness)
 
-    shorts = [o for o in orbs if 2 <= o.period < n]
+    shorts = [o for o, _ in found if 2 <= o.period < n]
     if shorts:
-        worst = min(shorts, key=lambda o: o.period)
+        worst = min(shorts, key=lambda o: (o.period, abs(o.point)))
         b4 = AxiomCheck("b4", False, float(len(shorts)),
                         note=f"minimal period {worst.period} found; " + completeness,
                         witness=(worst.point.real, worst.point.imag))
     else:
         b4 = AxiomCheck("b4", True, 0.0, note=completeness)
 
-    periods = [o.period * L + o.action_sum for o in orbs]
     return PlugReport(
         family="b", checks=(b1, b2, b3, b4),
-        t_min=min(periods) if periods else None,
-        volume=L * math.pi * phi.radius ** 2 + cal,
-        search={"L": L, "n": n, "eps": eps, "k_max": k_search, **method})
+        t_min=min(T for _, T in found) if found else None,
+        volume=plug.L * math.pi * plug.radius ** 2 + cal,
+        search={"L": plug.L, "n": n, "eps": eps, "k_max": k_search, **method})
 
 
-def verify_a(plug: PlugSystem, eps: float, k_max: int = 8,
-             n_r: int = 24, n_theta: int = 16) -> PlugReport:
+def verify_a(plug: PlugSystem, eps: float, k_max: int = 8) -> PlugReport:
     """Check the a-family for a unit-fiber plug at volume budget eps.
 
     a1/a2 are structural at the return-system level and reported as
@@ -286,11 +282,10 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = 8,
     a2 = AxiomCheck("a2", True, 0.0,
                     note="holds by model: suspension fibers are isotopic "
                          "to the trivial ones")
-    found = orbit_periods(plug, k_max, n_r=n_r, n_theta=n_theta)
-    method, completeness = _search_method(plug.map, k_max, n_r, n_theta)
+    found = orbit_periods(plug, k_max)
+    method, completeness = _search_method(plug.map, k_max)
     if found:
-        t_min = min(T for _, T in found)
-        worst = min(found, key=lambda item: item[1])[0]
+        worst, t_min = min(found, key=lambda item: item[1])
         a3 = AxiomCheck("a3", t_min >= 1.0 - 1e-10, 1.0 - t_min,
                         note=completeness,
                         witness=(worst.point.real, worst.point.imag))
@@ -319,7 +314,7 @@ def rescale_plug(plug: PlugSystem, factor: float) -> PlugSystem:
         raise ValueError("factor must be positive")
     new_map = rescale(plug.map, factor)
     return PlugSystem(plug.radius * factor, plug.L * factor ** 2, new_map,
-                      action(new_map), plug.tau_min * factor ** 2,
+                      action(new_map), plug.sigma_min * factor ** 2,
                       plug.tau_argmin * factor)
 
 
@@ -338,8 +333,8 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
     core it is reconstructed from coefficient data with an O(h^2)
     error driven by the quartic Taylor term of d (about 1e-7 at the
     default knot count), tightening to 1e-10 for r beyond about two
-    percent of the radius.  The contact margin decided on the way is
-    kept as the form's `contact_margin`.
+    percent of the radius.  W > 0 is decided on the way, and the form
+    keeps that decision and its margin for later readers.
     """
     if L <= 0.0 or R <= 0.0:
         raise PlugError("need L > 0 and R > 0")
@@ -347,9 +342,9 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
         raise PlugError("twist support exceeds the plug radius")
     phi = DiskMap(R, (RadialTwist(rho),))
     sigma = action(phi)
-    sig_min, r_min = _radial_min_sigma(rho, sigma)
+    sig_min, z_min = _min_sigma(phi, sigma)
     if L + sig_min <= 0.0:
-        raise PlugError(f"tau <= 0: tau(r = {r_min:.6g}) = {L + sig_min:.6g}")
+        raise PlugError(f"tau <= 0: tau(r = {abs(z_min):.6g}) = {L + sig_min:.6g}")
     # grid knots that the profile's knots duplicate up to rounding would
     # leave sub-ulp pieces, whose Hermite slopes are rounding noise
     grid = np.linspace(0.0, R, n_knots)
@@ -362,4 +357,5 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
     d_ders = -rho_k * knots / L
     d = RadialFunction(knots, d_vals, d_ders, parity="even")
     form = RotForm(R, L, c, d)
-    return replace(form, contact_margin=contact_check(form))
+    contact_check(form)
+    return form

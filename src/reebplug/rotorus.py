@@ -10,14 +10,16 @@ tori (`numerics.resonances` of a quadratic per knot interval), and the
 volume is 2*pi*P times the exact integral of W (cross-checked by
 integrating the return time over a section).  The sign conditions
 (W > 0, transversality) are decided by the piecewise-polynomial
-kernel, not sampled.
+kernel, not sampled; a form builds its pieces and decides W > 0 once,
+on first use, for every function here that reads them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +54,8 @@ class RotForm:
     c and d already include any overall normalization; kappa records the
     constant that was multiplied in, for reporting only.  Smoothness on
     the core axis forces c(0) = c'(0) = 0 with c''(0) > 0, d even.
-    contact_margin is the `contact_check` value when the builder already
-    decided it (None otherwise); it is not serialized.
+    Its coefficient pieces, contact decision and margin are worked out
+    on first use and kept on the form; they are not serialized.
     """
 
     radius: float
@@ -61,7 +63,6 @@ class RotForm:
     c: RadialFunction
     d: RadialFunction
     kappa: float = 1.0
-    contact_margin: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.radius > 0.0 and self.core_period > 0.0):
@@ -80,6 +81,25 @@ class RotForm:
         r = np.asarray(r, dtype=float)
         return self.c.derivative(r) * self.d(r) - self.c(r) * self.d.derivative(r)
 
+    @cached_property
+    def _pieces(self) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:
+        """c', d' and W = c'd - cd' as polynomials on common pieces of [0, R]."""
+        R = self.radius
+        c, d = (PiecewisePoly.from_radial(fn, upto=R).restrict(0.0, R) for fn in (self.c, self.d))
+        knots = np.union1d(c.knots, d.knots)
+        c, d = c.refine(knots), d.refine(knots)
+        cp, dp = c.derivative(), d.derivative()
+        return cp, dp, cp * d - c * dp
+
+    @cached_property
+    def _decided(self) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:
+        return _contact(self)
+
+    @cached_property
+    def _margin(self) -> float:
+        W = self._decided[2]
+        return W.extreme(W.radius())[0]
+
     def to_dict(self) -> dict:
         return {"R": self.radius, "core_period": self.core_period,
                 "kappa": self.kappa,
@@ -93,25 +113,16 @@ class RotForm:
                    float(data.get("kappa", 1.0)))
 
 
-def _coefficients(form: RotForm) -> tuple[PiecewisePoly, PiecewisePoly]:
-    """c and d as piecewise polynomials on the same pieces of [0, R]."""
-    R = form.radius
-    c, d = (PiecewisePoly.from_radial(fn, upto=R).restrict(0.0, R) for fn in (form.c, form.d))
-    knots = np.union1d(c.knots, d.knots)
-    return c.refine(knots), d.refine(knots)
-
-
 def _contact(form: RotForm) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:
-    """c, d and W, after deciding W > 0 on (0, R] (as W/r > 0 on [0, R],
-    the parity zero at the core factored out); raises ContactError where
-    it fails or rounding leaves it undecided."""
-    c, d = _coefficients(form)
-    W = c.derivative() * d - c * d.derivative()
+    """The form's c', d' and W, after deciding W > 0 on (0, R] (as W/r > 0
+    on [0, R], the parity zero at the core factored out); raises
+    ContactError where it fails or rounding leaves it undecided."""
+    W = form._pieces[2]
     r_bad = W.positive()
     if r_bad is not None:
         raise ContactError(f"contact condition fails at r = {r_bad:.6g} "
                            f"(min W/r = {W.extreme(W.radius())[0]:.3e})")
-    return c, d, W
+    return form._pieces
 
 
 def contact_check(form: RotForm) -> float:
@@ -120,8 +131,7 @@ def contact_check(form: RotForm) -> float:
     W > 0 on (0, R] is decided by the piecewise-polynomial kernel;
     raises ContactError where it fails or rounding leaves it undecided.
     """
-    W = _contact(form)[2]
-    return W.extreme(W.radius())[0]
+    return form._margin
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +241,6 @@ class ReturnSystem:
     form: RotForm
     section: str
     fiber: float
-    r_min: float
-    r_max: float
 
     def tau(self, r):
         """First return time at radius r (limit value at r = 0)."""
@@ -278,24 +286,24 @@ def return_system(form: RotForm, section: str) -> ReturnSystem:
     except KeyError:
         raise ValueError(f"unknown section {section!r}; "
                          "use 'disk-angle' or 'core-angle'") from None
-    return _transverse(form, sec, *_coefficients(form))
+    return _transverse(form, sec)
 
 
-def _transverse(form: RotForm, sec: str, c: PiecewisePoly, d: PiecewisePoly) -> ReturnSystem:
-    """The return system on section sec, after deciding its transversality
-    from the coefficients c and d already built; raises SectionError."""
+def _transverse(form: RotForm, sec: str) -> ReturnSystem:
+    """return_system on a canonical section name; raises SectionError."""
+    cp, dp, _ = form._pieces
     if sec == "core-angle":
-        r_bad = c.derivative().positive()
+        r_bad = cp.positive()
         if r_bad is not None:
             raise SectionError("core-angle section loses transversality: "
                                f"c'({r_bad:.6g}) <= 0")
-        return ReturnSystem(form, sec, form.core_period, 0.0, form.radius)
+        return ReturnSystem(form, sec, form.core_period)
     sign = 1.0 if form.d.derivative(form.radius) > 0.0 else -1.0
-    r_bad = (d.derivative() * sign).positive()
+    r_bad = (dp * sign).positive()
     if r_bad is not None:
         raise SectionError("disk-angle section loses transversality: "
                            f"d'({r_bad:.6g}) = 0 or changes sign")
-    return ReturnSystem(form, sec, DISK_PERIOD, 0.0, form.radius)
+    return ReturnSystem(form, sec, DISK_PERIOD)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +392,7 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
     """
     if q_max < 0:
         raise ValueError("q_max must be >= 0")
-    c, d, W = _contact(form)
+    cp, dp, W = form._decided
     records: list[OrbitRecord] = []
 
     core_T = form.core_period * float(form.d(0.0))
@@ -392,7 +400,6 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
         res = float(_closure(form, np.zeros(1), np.array([core_T]))[2][0])
         records.append(OrbitRecord("core", 0.0, 0, 1, core_T, 0.0, 0.0, res))
 
-    cp, dp = c.derivative(), d.derivative()
     # period formulas bound how many angle turns fit below t_max
     sup_d, sup_c = (max(rate.extreme(W, largest=True)[0], (-rate).extreme(W, largest=True)[0])
                     for rate in (dp, cp))
@@ -507,15 +514,15 @@ def volume(form: RotForm) -> Volume:
     one, using the return-system tau; its integrand is P W (or 2*pi W)
     of degree 5 per knot interval, so 3-point Gauss is exact.
     """
-    c, d, W = _contact(form)
+    W = form._decided[2]
     R, P = form.radius, form.core_period
     closed = DISK_PERIOD * P * W.integral()
     try:
-        sys = _transverse(form, "core-angle", c, d)
+        sys = _transverse(form, "core-angle")
         section = DISK_PERIOD * gauss_piecewise(
             lambda r: sys.tau(r) * form.c.derivative(r), W.knots, 0.0, R, npts=3)
     except SectionError:
-        sys = _transverse(form, "disk-angle", c, d)
+        sys = _transverse(form, "disk-angle")
         section = P * gauss_piecewise(
             lambda r: sys.tau(r) * np.abs(form.d.derivative(r)), W.knots, 0.0, R, npts=3)
     return Volume(closed, section, sys.section)

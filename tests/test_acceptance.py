@@ -33,7 +33,7 @@ from reebplug.diskmap import (ActionField, BumpHarmonic, DiskMap,
                               rescale)
 from reebplug.numerics import (OdeSpec, QuadratureSpec, RadialFunction,
                                find_root_1d)
-from reebplug.plug import make_plug, realize_rotational, verify_a, verify_b
+from reebplug.plug import PlugError, make_plug, realize_rotational, verify_a, verify_b
 from reebplug.profile import (ProfileParams, TauProfile, design_profile,
                               tau_profile, to_rotform, verify_profile)
 from reebplug.rotorus import (alpha_pairing, dalpha_contraction, ode_check,
@@ -279,7 +279,7 @@ def test_criterion_7_verifier_soundness():
     for amp, support, radius in [(-0.5, 0.6, 1.0), (-2.0, 1.0, 1.0),
                                  (-5.0, 0.8, 1.0), (-0.05, 0.3, 0.5)]:
         phi = DiskMap(radius, (RadialTwist(RadialFunction.bump(amp, support)),))
-        rep = verify_b(phi, L=1.0, n=2, eps=10.0, k_max=2)
+        rep = verify_b(make_plug(phi, 1.0), n=2, eps=10.0, k_max=2)
         b3 = rep.check("b3")
         assert not b3.passed and not rep.passed
         assert math.hypot(*b3.witness) < 1e-6
@@ -288,31 +288,34 @@ def test_criterion_7_verifier_soundness():
     # identity plugs pass the a-family exactly when pi r^2 < eps
     for radius, eps, expect in [(0.05, 0.01, True), (0.06, 0.01, False),
                                 (0.5, 0.8, True), (0.5, 0.7, False)]:
-        rep = verify_a(make_plug(DiskMap(radius, ()), 1.0), eps, k_max=2,
-                       n_r=8, n_theta=6)
+        rep = verify_a(make_plug(DiskMap(radius, ()), 1.0), eps, k_max=2)
         assert rep.passed is expect
         assert rep.check("a4").passed is (math.pi * radius ** 2 < eps)
     notes.append("a4 iff pi r^2 < eps on 4/4 identity plugs")
 
     # planted violations, one per remaining axiom; the truncated b4
-    # search below n must be declared, not silent
+    # search below n must be declared, not silent.  sigma(0) = -1 makes
+    # tau(0) = 0, which is no plug; sigma(0) = -0.875 is a plug whose b1
+    # floor at n = 4 is -0.75
     deep = DiskMap(1.0, (RadialTwist(RadialFunction.bump(-8.0, 1.0)),))
+    with pytest.raises(PlugError, match="tau"):
+        make_plug(deep, 1.0)
+    below = make_plug(DiskMap(1.0, (RadialTwist(RadialFunction.bump(-7.0, 1.0)),)), 1.0)
     with pytest.warns(UserWarning, match="cannot cover"):
-        b1 = verify_b(deep, L=1.0, n=4, eps=10.0, k_max=2).check("b1")
+        b1 = verify_b(below, n=4, eps=10.0, k_max=2).check("b1")
     assert not b1.passed and math.hypot(*b1.witness) < 1e-6
 
-    fat = verify_b(DiskMap(1.0, ()), L=1.0, n=2, eps=1e-6, k_max=2).check("b2")
+    fat = verify_b(make_plug(DiskMap(1.0, ()), 1.0), n=2, eps=1e-6, k_max=2).check("b2")
     assert not fat.passed  # CAL = 0 cannot undercut -pi + 1e-6
 
     shallow = DiskMap(1.0, (RadialTwist(RadialFunction.bump(-4.0, 1.0)),))
     r2 = math.sqrt(1.0 - (math.pi / 4.0) ** (1.0 / 3.0))
-    b4 = verify_b(shallow, L=1.0, n=3, eps=10.0, k_max=3,
-                  n_r=16, n_theta=8).check("b4")
+    b4 = verify_b(make_plug(shallow, 1.0), n=3, eps=10.0, k_max=3).check("b4")
     assert not b4.passed and abs(math.hypot(*b4.witness) - r2) < 1e-6
 
     slow = make_plug(DiskMap(0.12, (RadialTwist(
         RadialFunction.bump(-2.0, 0.1)),)), 1.0)
-    rep = verify_a(slow, eps=0.05, k_max=2, n_r=8, n_theta=6)
+    rep = verify_a(slow, eps=0.05, k_max=2)
     a3 = rep.check("a3")
     assert rep.check("a4").passed
     assert not a3.passed and math.hypot(*a3.witness) < 1e-6

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from reebplug import plug as plug_module
+from reebplug import rotorus
 from reebplug.cli import build_parser, main
 from reebplug.diskmap import BumpHarmonic, DiskMap, HamiltonianStep, RadialTwist
 from reebplug.numerics import NonConvergenceError, QuadResult, RadialFunction
@@ -199,7 +200,8 @@ def test_plug_realize_and_volume(tmp_path, capsys):
     assert rc == 0
     vol = json.loads((tmp_path / "plug_volume.json").read_text())
     assert vol["spread"] <= 1e-9
-    assert "quadrature" not in vol["realized"]
+    # the realized form's volume is `plug realize` then `rotorus volume`
+    assert "realized" not in vol
 
 
 def test_unconverged_disk_quadrature_is_a_check_failure(tmp_path, monkeypatch):
@@ -213,20 +215,50 @@ def test_unconverged_disk_quadrature_is_a_check_failure(tmp_path, monkeypatch):
     assert not (tmp_path / "plug_volume.json").exists()
 
 
+def count_contact_decisions(monkeypatch) -> list:
+    decide = rotorus._contact
+    calls = []
+    monkeypatch.setattr(rotorus, "_contact", lambda form: calls.append(form) or decide(form))
+    return calls
+
+
 def test_plug_realize_decides_contact_once(tmp_path, capsys, monkeypatch):
     # the margin printed is the one realize_rotational decided
-    from reebplug import cli
-    from reebplug.rotorus import contact_check
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
-    calls = []
-    monkeypatch.setattr(plug_module, "contact_check",
-                        lambda form: calls.append(form) or contact_check(form))
-    monkeypatch.setattr(cli, "contact_check", None)
+    calls = count_contact_decisions(monkeypatch)
     assert main(["plug", "realize", str(plug_file), "--knots", "257",
                  "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     form = RotForm.from_dict(json.loads((tmp_path / "form.json").read_text()))
-    assert f"contact margin {contact_check(form):.9g}," in capsys.readouterr().out
+    assert f"contact margin {rotorus.contact_check(form):.9g}," in capsys.readouterr().out
+
+
+def test_rotorus_analyze_decides_contact_once(tmp_path, monkeypatch):
+    # the contact margin, orbit search and volume all read one decision
+    assert run(DESIGN + ["--format", "json"], tmp_path) == 0
+    calls = count_contact_decisions(monkeypatch)
+    assert main(["rotorus", "analyze", str(tmp_path / "binding_form.json"),
+                 "--qmax", "4", "--out", str(tmp_path / "an")]) == 0
+    assert len(calls) == 1
+
+
+def test_plug_verify_b_reads_the_plugs_sigma_minimum(tmp_path, monkeypatch):
+    # make_plug builds sigma and searches its minimum once; verify-b reads
+    # both from the plug and takes its orbits from one orbit_periods pass
+    ham = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.7),), time=1.0),))
+    plug_file = write_plug(tmp_path / "plug.json", ham.to_dict())
+    results = {"action": [], "orbit_periods": [], "_min_sigma": []}
+    for name, out in results.items():
+        fn = getattr(plug_module, name)
+        monkeypatch.setattr(plug_module, name, lambda *args, fn=fn, out=out, **kw:
+                            out.append(fn(*args, **kw)) or out[-1])
+    assert main(["plug", "verify-b", str(plug_file), "--n", "1", "--eps", "10",
+                 "--kmax", "1", "--out", str(tmp_path)]) == 1
+    assert {name: len(out) for name, out in results.items()} == dict.fromkeys(results, 1)
+    b1 = json.loads((tmp_path / "report_b.json").read_text())["checks"][0]
+    sig_min, z_min = results["_min_sigma"][0]
+    assert (b1["name"], b1["passed"]) == ("b1", False)
+    assert b1["margin"] == 0.0 - sig_min and b1["witness"] == [z_min.real, z_min.imag]
 
 
 def test_plug_rescale(tmp_path):
@@ -346,3 +378,13 @@ def test_radial_pipeline_never_imports_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 12
     assert result["scipy"] == []
+
+
+def test_cli_import_loads_no_network_modules():
+    # the SVG writer escapes text itself; xml.sax.saxutils pulls in urllib
+    env = dict(os.environ, PYTHONPATH=str(Path(plug_module.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, reebplug.cli; "
+         "print(sorted(m for m in ('urllib.request', 'http.client') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

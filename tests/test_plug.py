@@ -51,7 +51,7 @@ def test_sigma_center_oracle():
 
 def test_orbit_periods_identity():
     plug = make_plug(identity_map(0.5), 1.0)
-    found = orbit_periods(plug, k_max=3, n_r=6, n_theta=6)
+    found = orbit_periods(plug, k_max=3)
     assert found
     for orb, T in found:
         assert orb.period == 1
@@ -60,7 +60,7 @@ def test_orbit_periods_identity():
 
 def test_orbit_periods_fixed_point_action():
     plug = make_plug(twist_map(4.0), 1.0)
-    found = orbit_periods(plug, k_max=1, n_r=8, n_theta=6)
+    found = orbit_periods(plug, k_max=1)
     center = [(o, T) for o, T in found if abs(o.point) < 1e-6]
     assert center
     assert center[0][1] == pytest.approx(0.5, abs=1e-9)
@@ -81,8 +81,7 @@ def test_volume_identity_three_plug_kinds():
 
 
 def test_verify_b_identity_map():
-    report = verify_b(identity_map(1.0), L=1.0, n=2, eps=0.1,
-                      n_r=6, n_theta=6)
+    report = verify_b(make_plug(identity_map(1.0), 1.0), n=2, eps=0.1)
     assert report.check("b1").passed
     assert not report.check("b2").passed   # CAL = 0 is not < -pi + 0.1
     assert report.check("b3").passed
@@ -91,8 +90,8 @@ def test_verify_b_identity_map():
 
 
 def test_verify_b_negative_twist_fails_b3():
-    report = verify_b(DiskMap(1.0, (RadialTwist(RadialFunction.bump(-2.0, 0.8)),)),
-                      L=1.0, n=2, eps=10.0, n_r=10, n_theta=8)
+    plug = make_plug(DiskMap(1.0, (RadialTwist(RadialFunction.bump(-2.0, 0.8)),)), 1.0)
+    report = verify_b(plug, n=2, eps=10.0)
     b3 = report.check("b3")
     assert not b3.passed
     assert b3.margin == pytest.approx(0.16, abs=1e-6)
@@ -108,9 +107,9 @@ def test_verify_b_planted_fixed_circle():
     total = p1 + p2
     from scipy.optimize import brentq
     r0 = brentq(total, 1e-6, 0.4 - 1e-9)
-    sig = make_plug(phi, 5.0).sigma
-    assert sig.radial_profile(r0) < -0.01
-    report = verify_b(phi, L=1.0, n=2, eps=10.0, n_r=12, n_theta=8)
+    plug = make_plug(phi, 1.0)
+    assert plug.sigma.radial_profile(r0) < -0.01
+    report = verify_b(plug, n=2, eps=10.0)
     b3 = report.check("b3")
     assert not b3.passed
     assert b3.margin > 0.1
@@ -118,24 +117,23 @@ def test_verify_b_planted_fixed_circle():
 
 def test_verify_b_warns_when_k_max_below_n():
     with pytest.warns(UserWarning, match="b4"):
-        verify_b(identity_map(1.0), L=1.0, n=4, eps=10.0, k_max=2,
-                 n_r=4, n_theta=4)
+        verify_b(make_plug(identity_map(1.0), 1.0), n=4, eps=10.0, k_max=2)
 
 
 def test_verify_b_positive_twist_passes():
     phi = DiskMap(1.0, (RadialTwist(RadialFunction.bump(2.0, 0.8)),))
     eps = math.pi + (2.0 * 0.64 * math.pi / 20.0) * 0.8 ** 2 + 1.0
-    report = verify_b(phi, L=1.0, n=3, eps=eps, n_r=10, n_theta=8)
+    report = verify_b(make_plug(phi, 1.0), n=3, eps=eps)
     assert report.passed, [c.to_dict() for c in report.checks if not c.passed]
 
 
 def test_verify_a_identity_examples():
     plug = make_plug(identity_map(0.3), 1.0)
-    report = verify_a(plug, eps=0.5, k_max=2, n_r=6, n_theta=6)
+    report = verify_a(plug, eps=0.5, k_max=2)
     assert report.passed
     assert report.t_min == pytest.approx(1.0, abs=1e-9)
     big = make_plug(identity_map(0.5), 1.0)
-    report = verify_a(big, eps=0.5, k_max=2, n_r=6, n_theta=6)
+    report = verify_a(big, eps=0.5, k_max=2)
     assert not report.check("a4").passed
     assert report.check("a3").passed
 
@@ -152,9 +150,9 @@ def test_verify_b_implies_verify_a(c, support, n):
     phi = DiskMap(1.0, (RadialTwist(RadialFunction.bump(c, support)),))
     plug = make_plug(phi, 1.0)
     eps = plug.volume() + 0.01
-    rb = verify_b(phi, L=1.0, n=n, eps=eps, n_r=10, n_theta=8)
+    rb = verify_b(plug, n=n, eps=eps)
     assert rb.passed
-    ra = verify_a(plug, eps=eps, k_max=max(n, 2), n_r=10, n_theta=8)
+    ra = verify_a(plug, eps=eps, k_max=max(n, 2))
     assert ra.passed
 
 
@@ -246,7 +244,7 @@ def test_period_two_orbit_dictionary():
     rho = RadialFunction.bump(-3.5, 0.8)
     r2 = 0.8 * math.sqrt(1.0 - (math.pi / 3.5) ** (1.0 / 3.0))
     plug = make_plug(DiskMap(1.0, (RadialTwist(rho),)), 1.0)
-    found = orbit_periods(plug, k_max=2, n_r=16, n_theta=8)
+    found = orbit_periods(plug, k_max=2)
     pairs = [(o, T) for o, T in found
              if o.period == 2 and abs(abs(o.point) - r2) < 1e-6]
     assert pairs

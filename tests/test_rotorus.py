@@ -361,7 +361,7 @@ def _reference_record(form, r, p, q, t_max, r_lo=None, r_hi=None):
 
 def reference_orbit_enumerate(form, t_max, q_max):
     """orbit_enumerate as it was before batching: one pass per (p, q)."""
-    c, d, W = rt._contact(form)
+    cp, dp, W = rt._contact(form)
     records, dropped = [], 0
     core_T = form.core_period * float(form.d(0.0))
     if core_T <= t_max:
@@ -369,7 +369,6 @@ def reference_orbit_enumerate(form, t_max, q_max):
         res = max(abs(phi - round(phi / TWO_PI) * TWO_PI),
                   abs(psi - round(psi / form.core_period) * form.core_period))
         records.append(rt.OrbitRecord("core", 0.0, 0, 1, core_T, 0.0, 0.0, res))
-    cp, dp = c.derivative(), d.derivative()
     sup_d, sup_c = (max(rate.extreme(W, largest=True)[0], (-rate).extreme(W, largest=True)[0])
                     for rate in (dp, cp))
     p_max = int(math.ceil(t_max * sup_d / TWO_PI))
