@@ -22,12 +22,12 @@ from .certify import CertificationError, assemble, systolic_bound
 from .diskmap import (BumpHarmonic, DiskMap, PrimitiveOneForm, action, calabi,
                       periodic_points)
 from .numerics import NonConvergenceError, integrate_disk
-from .plug import (PlugError, PlugSystem, make_plug, orbit_periods,
+from .plug import (PlugError, PlugSystem, make_plug, orbit_periods, plug_inputs,
                    realize_rotational, rescale_plug, verify_a, verify_b)
 from .profile import (ProfileCurve, ProfileError, ProfileParams,
                       design_profile, tau_profile, to_rotform, verify_profile)
 from .plots import orbit_plot, profile_plot, tau_plot
-from .rotorus import (ContactError, RotForm, SectionError, contact_check,
+from .rotorus import (ContactError, RotForm, SectionError, Volume, contact_check,
                       orbit_enumerate, return_system, tmin, volume)
 
 __all__ = ["main", "build_parser"]
@@ -65,26 +65,33 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _formats(args) -> set[str]:
-    kinds = {k.strip() for k in args.format.split(",") if k.strip()}
-    unknown = kinds - {"json", "csv", "svg"}
-    if unknown:
-        raise ValueError(f"unknown output format: {', '.join(sorted(unknown))}")
-    return kinds
-
-
-def _load_json(path: str, required: tuple[str, ...],
-               optional: tuple[str, ...] = ()) -> dict:
-    data = json.loads(Path(path).read_text())
+def _checked(data, where: str, keys: tuple[str, ...]) -> dict:
+    """data, once it is an object with exactly the given keys."""
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object")
-    missing = [k for k in required if k not in data]
+        raise ValueError(f"{where}: expected a JSON object")
+    missing = [k for k in keys if k not in data]
     if missing:
-        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    unknown = [k for k in data if k not in required + optional]
+        raise ValueError(f"{where}: missing keys: {', '.join(missing)}")
+    unknown = [k for k in data if k not in keys]
     if unknown:
-        raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")
+        raise ValueError(f"{where}: unknown keys: {', '.join(unknown)}")
     return data
+
+
+def _threshold(label: str, what: str, value: float, tol: float | None) -> int:
+    """Exit code of a pass threshold: 1, with a FAIL line, when value > tol."""
+    if tol is not None and value > tol:
+        print(f"{label}: FAIL {what} above {tol:.3e}")
+        return 1
+    return 0
+
+
+def _write_volume(args, name: str, vol: Volume, context: dict) -> int:
+    _write_json(_out_dir(args) / name,
+                {**vol.to_dict(), "context": {**context, "tol": args.tol}})
+    print(f"volume: {vol.closed_form!r} {vol.section!r} "
+          f"(spread {vol.spread:.3e})")
+    return _threshold("volume", "spread", vol.spread, args.tol)
 
 
 def _orbit_csv(rows) -> str:
@@ -106,7 +113,7 @@ def _map_orbit_row(orbit, T) -> tuple:
 
 def _profile_artifacts(curve: ProfileCurve, args, with_curve: bool) -> int:
     out = _out_dir(args)
-    kinds = _formats(args)
+    kinds = args.format
     report = verify_profile(curve)
     tau_dict = None
     tau = None
@@ -183,17 +190,14 @@ def _cmd_rotorus_analyze(args) -> int:
     print(f"rotorus: contact margin {margin:.9g}, "
           f"t_min {est.value:.9g} ({est.kind}), "
           f"volume {vol.value:.9g} (spread {vol.spread:.3e})")
-    if args.tol is not None and vol.spread > args.tol:
-        print(f"rotorus: FAIL volume spread above {args.tol:.3e}")
-        return 1
-    return 0
+    return _threshold("rotorus", "volume spread", vol.spread, args.tol)
 
 
 def _cmd_rotorus_orbits(args) -> int:
     form = _load_form(args.form)
     records = orbit_enumerate(form, t_max=args.tmax, q_max=args.qmax)
     out = _out_dir(args)
-    kinds = _formats(args)
+    kinds = args.format
     if "csv" in kinds:
         _write_text(out / "orbits.csv", _orbit_csv(
             (r.kind, r.r, r.p, r.q, r.period) for r in records))
@@ -210,21 +214,12 @@ def _cmd_rotorus_orbits(args) -> int:
 
 
 def _cmd_rotorus_volume(args) -> int:
-    form = _load_form(args.form)
-    vol = volume(form)
-    _write_json(_out_dir(args) / "volume.json", {
-        **vol.to_dict(),
-        "context": {"closed_form": "exact per-piece integral of the decided "
-                                   "W = c'd - cd', times 2 pi P",
-                    "section": "integral of tau dalpha over the "
-                               f"{vol.section_name} section, Gauss exact "
-                               "to degree 5 per knot interval"}})
-    print(f"volume: {vol.closed_form!r} {vol.section!r} "
-          f"(spread {vol.spread:.3e})")
-    if args.tol is not None and vol.spread > args.tol:
-        print(f"volume: FAIL spread above {args.tol:.3e}")
-        return 1
-    return 0
+    vol = volume(_load_form(args.form))
+    return _write_volume(args, "volume.json", vol, {
+        "closed_form": "exact per-piece integral of the decided "
+                       "W = c'd - cd', times 2 pi P",
+        "section": f"integral of tau dalpha over the {vol.section_name} "
+                   "section, Gauss exact to degree 5 per knot interval"})
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +258,17 @@ def _cmd_disk_cal(args) -> int:
     cal_alt = integrate_disk(
         lambda x, y: sigma_alt(np.asarray(x) + 1j * np.asarray(y)),
         phi.radius).require()
-    tol = args.tol if args.tol is not None else 2e-8
     drift = abs(cal - cal_alt)
     _write_json(_out_dir(args) / "calabi.json", {
         "calabi": cal, "calabi_alt_primitive": cal_alt,
         "primitive_independence": drift,
-        "context": {"tol": tol,
+        "context": {"tol": args.tol,
                     "alt_primitive": "cos(2 theta) bump correction",
                     "calabi": "exact: sum of per-primitive closed forms",
                     "calabi_alt_primitive":
                         "quadrature: integrate_disk of sigma under lam0 + du"}})
     print(f"calabi: {cal!r} (primitive independence {drift:.3e})")
-    if drift > tol:
-        print(f"calabi: FAIL primitive dependence above {tol:.3e}")
-        return 1
-    return 0
+    return _threshold("calabi", "primitive dependence", drift, args.tol)
 
 
 def _cmd_disk_periodic(args) -> int:
@@ -286,7 +277,7 @@ def _cmd_disk_periodic(args) -> int:
     # T is the suspension period at unit fiber: k + action along orbit
     rows = [_map_orbit_row(o, o.period + o.action_sum) for o in orbits]
     out = _out_dir(args)
-    kinds = _formats(args)
+    kinds = args.format
     if "csv" in kinds:
         _write_text(out / "periodic.csv", _orbit_csv(rows))
     if "json" in kinds:
@@ -308,9 +299,26 @@ def _cmd_disk_periodic(args) -> int:
 # plug
 # ---------------------------------------------------------------------------
 
+def _read_plug(entry, base: Path = Path()) -> dict:
+    """A plug's {L, radius, map}: an inline entry, or the file a path names."""
+    where = "inline plug"
+    if isinstance(entry, str):
+        where = str(base / entry)
+        entry = json.loads(Path(where).read_text())
+    return _checked(entry, where, ("L", "radius", "map"))
+
+
 def _load_plug(path: str) -> PlugSystem:
-    data = _load_json(path, required=("L", "radius", "map"))
-    return PlugSystem.from_dict(data)
+    return PlugSystem.from_dict(_read_plug(path))
+
+
+def _write_report(args, name: str, rep) -> int:
+    """The axiom report of verify-a or verify-b, one line per check."""
+    _write_json(_out_dir(args) / name, rep.to_dict())
+    for c in rep.checks:
+        print(f"{c.name}: {'pass' if c.passed else 'FAIL'} "
+              f"(margin {c.margin:.3e}) {c.note}")
+    return 0 if rep.passed else 1
 
 
 def _write_plug(out: Path, name: str, plug: PlugSystem) -> dict:
@@ -333,23 +341,13 @@ def _cmd_plug_build(args) -> int:
 
 
 def _cmd_plug_verify_a(args) -> int:
-    plug = _load_plug(args.plug)
-    rep = verify_a(plug, args.eps, k_max=args.kmax)
-    _write_json(_out_dir(args) / "report_a.json", rep.to_dict())
-    for c in rep.checks:
-        print(f"{c.name}: {'pass' if c.passed else 'FAIL'} "
-              f"(margin {c.margin:.3e}) {c.note}")
-    return 0 if rep.passed else 1
+    return _write_report(args, "report_a.json",
+                         verify_a(_load_plug(args.plug), args.eps, k_max=args.kmax))
 
 
 def _cmd_plug_verify_b(args) -> int:
-    plug = _load_plug(args.plug)
-    rep = verify_b(plug, args.n, args.eps, k_max=args.kmax)
-    _write_json(_out_dir(args) / "report_b.json", rep.to_dict())
-    for c in rep.checks:
-        print(f"{c.name}: {'pass' if c.passed else 'FAIL'} "
-              f"(margin {c.margin:.3e}) {c.note}")
-    return 0 if rep.passed else 1
+    return _write_report(args, "report_b.json",
+                         verify_b(_load_plug(args.plug), args.n, args.eps, k_max=args.kmax))
 
 
 def _cmd_plug_orbits(args) -> int:
@@ -363,17 +361,10 @@ def _cmd_plug_orbits(args) -> int:
 
 def _cmd_plug_volume(args) -> int:
     plug = _load_plug(args.plug)
-    closed = plug.volume()
-    quad = plug.volume_quadrature()
-    spread = abs(closed - quad) / max(1e-300, abs(closed))
-    _write_json(_out_dir(args) / "plug_volume.json", {
-        "closed_form": closed, "section_quadrature": quad, "spread": spread,
-        "context": {"closed_form": "L pi R^2 + CAL", "tol": args.tol}})
-    print(f"volume: {closed!r} {quad!r} (spread {spread:.3e})")
-    if args.tol is not None and spread > args.tol:
-        print(f"volume: FAIL spread above {args.tol:.3e}")
-        return 1
-    return 0
+    return _write_volume(args, "plug_volume.json",
+                         Volume(plug.volume(), plug.volume_quadrature(), "disk"),
+                         {"closed_form": "L pi R^2 + CAL",
+                          "section": "integral of tau = L + sigma over the disk"})
 
 
 def _cmd_plug_rescale(args) -> int:
@@ -385,11 +376,11 @@ def _cmd_plug_rescale(args) -> int:
 
 
 def _cmd_plug_realize(args) -> int:
-    plug = _load_plug(args.plug)
-    if not plug.map.is_radial:
+    phi, L = plug_inputs(_read_plug(args.plug))
+    if not phi.is_radial:
         raise PlugError("realization needs a radial map")
-    form = realize_rotational(plug.map.combined_profile(), plug.L,
-                              plug.radius, n_knots=args.knots)
+    form = realize_rotational(phi.combined_profile(), L, phi.radius,
+                              n_knots=args.knots)
     _write_json(_out_dir(args) / "form.json", form.to_dict())
     print(f"realized: contact margin {contact_check(form):.9g}, "
           f"core period {form.core_period * float(form.d(0.0)):.9g}")
@@ -401,15 +392,10 @@ def _cmd_plug_realize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_certify_run(args) -> int:
-    spec = _load_json(args.assembly,
-                      required=("eps", "areas", "tau_bound", "plugs"))
+    spec = _checked(json.loads(Path(args.assembly).read_text()), args.assembly,
+                    ("eps", "areas", "tau_bound", "plugs"))
     base = Path(args.assembly).parent
-    plugs = []
-    for entry in spec["plugs"]:
-        if isinstance(entry, str):
-            plugs.append(_load_plug(str(base / entry)))
-        else:
-            plugs.append(PlugSystem.from_dict(entry))
+    plugs = [PlugSystem.from_dict(_read_plug(entry, base)) for entry in spec["plugs"]]
     inp = assemble(spec["eps"], spec["areas"], plugs, spec["tau_bound"],
                    k_max=args.kmax)
     cert = systolic_bound(inp)
@@ -456,17 +442,31 @@ def _cmd_certify_sweep(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _io_flags(p: argparse.ArgumentParser, fmt: str = "json,csv,svg") -> None:
+def _command(group, name: str, func, help: str) -> argparse.ArgumentParser:
+    p = group.add_parser(name, help=help)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", default=fmt,
-                   help="comma list among json,csv,svg")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the pass threshold where one applies")
+    p.set_defaults(func=func)
+    return p
+
+
+def _format_flag(p: argparse.ArgumentParser, kinds: str) -> None:
+    """--format: a comma list among the artifact kinds this command writes."""
+    def chosen(text: str) -> set[str]:
+        picked = {k.strip() for k in text.split(",") if k.strip()}
+        unknown = picked - set(kinds.split(","))
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown output format: {', '.join(sorted(unknown))} "
+                f"(this command writes {kinds})")
+        return picked
+    p.add_argument("--format", default=kinds, type=chosen,
+                   help=f"comma list among {kinds}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+    """The argument parser, built once per process.  Each subcommand has
+    --out and only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="reebplug",
         description="profiles, rotational Reeb flows, disk-map plugs, "
@@ -475,111 +475,96 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser("profile", help="binding profiles").add_subparsers(
         dest="action", required=True)
-    p = prof.add_parser("design", help="design a curve from parameters")
+    p = _command(prof, "design", _cmd_profile_design,
+                 "design a curve from parameters")
     for name in ("s", "delta", "rho", "r0", "r1"):
         p.add_argument(f"--{name}", type=float, required=True)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_profile_design)
-    p = prof.add_parser("verify", help="verify a curve file")
+    _format_flag(p, "json,svg")
+    p = _command(prof, "verify", _cmd_profile_verify, "verify a curve file")
     p.add_argument("curve")
-    _io_flags(p)
-    p.set_defaults(func=_cmd_profile_verify)
+    _format_flag(p, "json,svg")
 
     rot = sub.add_parser("rotorus", help="rotational forms").add_subparsers(
         dest="action", required=True)
-    p = rot.add_parser("analyze", help="contact margin, sections, t_min")
+    p = _command(rot, "analyze", _cmd_rotorus_analyze,
+                 "contact margin, sections, t_min")
     p.add_argument("form")
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--qmax", type=int, default=8)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_rotorus_analyze)
-    p = rot.add_parser("orbits", help="enumerate closed-orbit families")
+    p.add_argument("--tol", type=float, default=None, help="pass threshold")
+    p = _command(rot, "orbits", _cmd_rotorus_orbits,
+                 "enumerate closed-orbit families")
     p.add_argument("form")
     p.add_argument("--tmax", type=float, default=5.0)
     p.add_argument("--qmax", type=int, default=8)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_rotorus_orbits)
-    p = rot.add_parser("volume", help="the volume and its section cross-check")
+    _format_flag(p, "json,csv,svg")
+    p = _command(rot, "volume", _cmd_rotorus_volume,
+                 "the volume and its section cross-check")
     p.add_argument("form")
-    _io_flags(p)
-    p.set_defaults(func=_cmd_rotorus_volume)
+    p.add_argument("--tol", type=float, default=None, help="pass threshold")
 
     disk = sub.add_parser("disk", help="area-preserving disk maps")
     dsub = disk.add_subparsers(dest="action", required=True)
-    p = dsub.add_parser("act", help="action field of a map")
+    p = _command(dsub, "act", _cmd_disk_act, "action field of a map")
     p.add_argument("map")
-    _io_flags(p)
-    p.set_defaults(func=_cmd_disk_act)
-    p = dsub.add_parser("cal", help="Calabi invariant")
+    p = _command(dsub, "cal", _cmd_disk_cal, "Calabi invariant")
     p.add_argument("map")
-    _io_flags(p)
-    p.set_defaults(func=_cmd_disk_cal)
-    p = dsub.add_parser("periodic", help="periodic point search")
+    p.add_argument("--tol", type=float, default=2e-8, help="pass threshold")
+    p = _command(dsub, "periodic", _cmd_disk_periodic, "periodic point search")
     p.add_argument("map")
     p.add_argument("--kmax", type=int, default=6)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_disk_periodic)
+    _format_flag(p, "json,csv")
 
     plug = sub.add_parser("plug", help="contact solid-torus plugs")
     psub = plug.add_subparsers(dest="action", required=True)
-    p = psub.add_parser("build", help="plug from a map and a fiber length")
+    p = _command(psub, "build", _cmd_plug_build,
+                 "plug from a map and a fiber length")
     p.add_argument("map")
     p.add_argument("--L", type=float, default=1.0)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_build)
-    p = psub.add_parser("verify-a", help="unit-fiber axiom checks")
+    p = _command(psub, "verify-a", _cmd_plug_verify_a, "unit-fiber axiom checks")
     p.add_argument("plug")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--kmax", type=int, default=8)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_verify_a)
-    p = psub.add_parser("verify-b", help="sharpness-n axiom checks")
+    p = _command(psub, "verify-b", _cmd_plug_verify_b, "sharpness-n axiom checks")
     p.add_argument("plug")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--kmax", type=int, default=None)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_verify_b)
-    p = psub.add_parser("orbits", help="periodic orbits with suspended periods")
+    p = _command(psub, "orbits", _cmd_plug_orbits,
+                 "periodic orbits with suspended periods")
     p.add_argument("plug")
     p.add_argument("--kmax", type=int, default=6)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_orbits)
-    p = psub.add_parser("volume", help="plug volume, cross-checked")
+    p = _command(psub, "volume", _cmd_plug_volume, "plug volume, cross-checked")
     p.add_argument("plug")
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_volume)
-    p = psub.add_parser("rescale", help="anisotropic rescaling")
+    p.add_argument("--tol", type=float, default=None, help="pass threshold")
+    p = _command(psub, "rescale", _cmd_plug_rescale, "anisotropic rescaling")
     p.add_argument("plug")
     p.add_argument("--factor", type=float, required=True)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_rescale)
-    p = psub.add_parser("realize", help="rotational form with this return system")
+    p = _command(psub, "realize", _cmd_plug_realize,
+                 "rotational form with this return system")
     p.add_argument("plug")
     p.add_argument("--knots", type=int, default=8193)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_plug_realize)
 
     cert = sub.add_parser("certify", help="systolic-ratio certificates")
     csub = cert.add_subparsers(dest="action", required=True)
-    p = csub.add_parser("run", help="certify one assembly file")
+    p = _command(csub, "run", _cmd_certify_run, "certify one assembly file")
     p.add_argument("assembly")
     p.add_argument("--kmax", type=int, default=6)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_certify_run)
-    p = csub.add_parser("sweep", help="certificates along a decreasing eps list")
+    p = _command(csub, "sweep", _cmd_certify_sweep,
+                 "certificates along a decreasing eps list")
     p.add_argument("--eps", default="0.01,0.001,0.0001",
                    help="comma list, decreasing")
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--kmax", type=int, default=3)
-    _io_flags(p)
-    p.set_defaults(func=_cmd_certify_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse refuses bad input with exit code 2
+        return exc.code
     try:
         return args.func(args)
     except _MATH_ERRORS as exc:

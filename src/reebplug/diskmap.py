@@ -43,7 +43,7 @@ seeded Newton search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .numerics import (
 _GAUSS5 = gauss_rule(5)
 _GAUSS15 = gauss_rule(15)
 SEED_GRID = (24, 16)   # periodic_points' default n_r x n_theta Newton seeds
+_FLOW_ODE = OdeSpec(tol=1e-12)   # per-step tolerance of Hamiltonian flows
 
 
 def _gauss_pieces(fn, lo, hi):
@@ -274,7 +275,6 @@ class HamiltonianStep:
 
     terms: tuple[BumpHarmonic, ...]
     time: float = 1.0
-    ode: OdeSpec = field(default_factory=lambda: OdeSpec(tol=1e-12))
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -320,7 +320,7 @@ class HamiltonianStep:
                 out[2 * n:] = jet[0] - 0.5 * (x * g.real + yy * g.imag)
             return out
 
-        y = ode_flow(rhs, y0, self.time, self.ode).state
+        y = ode_flow(rhs, y0, self.time, _FLOW_ODE).state
         z = y[:n] + 1j * y[n:2 * n]
         if not with_jac:
             return z, y[2 * n:]
@@ -363,7 +363,7 @@ class HamiltonianStep:
 
     def rescaled(self, factor: float) -> "HamiltonianStep":
         return HamiltonianStep(tuple(t.rescaled(factor) for t in self.terms),
-                               self.time, self.ode)
+                               self.time)
 
     def to_dict(self) -> dict:
         return {"kind": "hamiltonian", "terms": [t.to_dict() for t in self.terms],

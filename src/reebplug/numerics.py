@@ -36,18 +36,17 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
 
 
 @dataclass(frozen=True)
 class OdeSpec:
-    """Tolerance contract for ODE flows (per-step tolerance, step limits)."""
+    """Tolerance contract for ODE flows (per-step tolerance)."""
 
     tol: float = 1e-10
-    max_step: float = np.inf
-    max_steps: int = 200_000
 
 
+_QUAD_LIMIT = 200          # subdivisions of adaptive 1D quadrature
+_ODE_MAX_STEPS = 200_000   # an ODE flow that needs more steps raises
 DEFAULT_QUAD = QuadratureSpec()
 DEFAULT_ODE = OdeSpec()
 
@@ -980,7 +979,7 @@ def integrate_1d(fn, a: float, b: float, spec: QuadratureSpec | None = None,
         lo, hi = min(a, b), max(a, b)
         arr = arr[(arr > lo) & (arr < hi)]
         pts = np.unique(arr) if arr.size else None
-    limit = max(spec.max_subdivisions, 50)
+    limit = _QUAD_LIMIT
     if pts is not None:
         limit = max(limit, 2 * pts.size + 50)
     converged = True
@@ -1050,7 +1049,7 @@ def ode_flow(field, start, time: float, spec: OdeSpec | None = None) -> OdeResul
     if time == 0.0 or y0.size == 0:
         return OdeResult(y0.copy(), 0.0, 0)
     stepper = DOP853(field, 0.0, y0, t_bound=float(time),
-                     rtol=spec.tol, atol=spec.tol, max_step=spec.max_step)
+                     rtol=spec.tol, atol=spec.tol)
     n = 0
     scale = max(1.0, float(np.max(np.abs(y0))))
     while stepper.status == "running":
@@ -1059,8 +1058,8 @@ def ode_flow(field, start, time: float, spec: OdeSpec | None = None) -> OdeResul
         if not np.all(np.isfinite(stepper.y)):
             raise NonConvergenceError("ODE state became non-finite")
         scale = max(scale, float(np.max(np.abs(stepper.y))))
-        if n > spec.max_steps:
-            raise NonConvergenceError(f"ODE exceeded {spec.max_steps} steps")
+        if n > _ODE_MAX_STEPS:
+            raise NonConvergenceError(f"ODE exceeded {_ODE_MAX_STEPS} steps")
     if stepper.status == "failed":
         raise NonConvergenceError(f"ODE step failure: {msg}")
     return OdeResult(stepper.y.copy(), n * spec.tol * scale, n)

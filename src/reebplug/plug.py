@@ -80,7 +80,17 @@ class PlugSystem:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PlugSystem":
-        return make_plug(DiskMap.from_dict(d["map"]), float(d["L"]))
+        return make_plug(*plug_inputs(d))
+
+
+def plug_inputs(d: dict) -> tuple[DiskMap, float]:
+    """The map and fiber length of a serialized plug, whose radius must be
+    its map's."""
+    phi = DiskMap.from_dict(d["map"])
+    if float(d["radius"]) != phi.radius:
+        raise ValueError(f"plug radius {d['radius']!r} differs from its map's "
+                         f"radius {phi.radius!r}")
+    return phi, float(d["L"])
 
 
 def _min_sigma(phi: DiskMap, sigma: ActionField,
@@ -333,18 +343,15 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
     core it is reconstructed from coefficient data with an O(h^2)
     error driven by the quartic Taylor term of d (about 1e-7 at the
     default knot count), tightening to 1e-10 for r beyond about two
-    percent of the radius.  W > 0 is decided on the way, and the form
-    keeps that decision and its margin for later readers.
+    percent of the radius.  sigma and the refusal of tau <= 0 come from
+    `make_plug`; W > 0 is decided on the way, and the form keeps that
+    decision and its margin for later readers.
     """
     if L <= 0.0 or R <= 0.0:
         raise PlugError("need L > 0 and R > 0")
     if rho.knots[-1] > R + 1e-12:
         raise PlugError("twist support exceeds the plug radius")
-    phi = DiskMap(R, (RadialTwist(rho),))
-    sigma = action(phi)
-    sig_min, z_min = _min_sigma(phi, sigma)
-    if L + sig_min <= 0.0:
-        raise PlugError(f"tau <= 0: tau(r = {abs(z_min):.6g}) = {L + sig_min:.6g}")
+    sigma = make_plug(DiskMap(R, (RadialTwist(rho),)), L).sigma
     # grid knots that the profile's knots duplicate up to rounding would
     # leave sub-ulp pieces, whose Hermite slopes are rounding noise
     grid = np.linspace(0.0, R, n_knots)

@@ -92,6 +92,23 @@ class RotForm:
         return cp, dp, cp * d - c * dp
 
     @cached_property
+    def _core(self) -> tuple[float, float, float]:
+        """The limits of (W, -d', c') / r at r = 0: (c''(0) d(0), -d''(0), c''(0))."""
+        c2 = float(self.c.second_derivative(0.0))
+        return c2 * float(self.d(0.0)), -float(self.d.second_derivative(0.0)), c2
+
+    def _rate_terms(self, r):
+        """(W, -d', c') at r, with the core limits of _core where r = 0: every
+        Reeb rate, return time and shift is a ratio of two of them."""
+        r = np.asarray(r, dtype=float)
+        cp, dp = self.c.derivative(r), self.d.derivative(r)
+        terms = cp * self.d(r) - self.c(r) * dp, -dp, cp
+        at0 = r == 0.0
+        if not at0.any():
+            return terms
+        return tuple(np.where(at0, lim, t) for lim, t in zip(self._core, terms))
+
+    @cached_property
     def _decided(self) -> tuple[PiecewisePoly, PiecewisePoly, PiecewisePoly]:
         return _contact(self)
 
@@ -140,32 +157,17 @@ def contact_check(form: RotForm) -> float:
 
 def angular_rates(form: RotForm, r):
     """(dphi/dt, dpsi/dt) along the Reeb flow: (-d', c')/W, limits at 0."""
-    r = np.asarray(r, dtype=float)
-    cp = form.c.derivative(r)
-    dp = form.d.derivative(r)
-    W = cp * form.d(r) - form.c(r) * dp
-    c2 = float(form.c.second_derivative(0.0))
-    d2 = float(form.d.second_derivative(0.0))
-    d0 = float(form.d(0.0))
-    at0 = r == 0.0
-    Wsafe = np.where(at0, 1.0, W)
-    rate_disk = np.where(at0, -d2 / (c2 * d0), -dp / Wsafe)
-    rate_core = np.where(at0, 1.0 / d0, cp / Wsafe)
-    if r.ndim == 0:
-        return float(rate_disk), float(rate_core)
-    return rate_disk, rate_core
+    W, mdp, cp = form._rate_terms(r)
+    if np.ndim(W) == 0:
+        return float(mdp / W), float(cp / W)
+    return mdp / W, cp / W
 
 
 def reeb_field(form: RotForm, point) -> np.ndarray:
-    """Reeb vector at (r, phi, psi), components in (d/dr, d/dphi, d/dpsi)."""
+    """Reeb vector at (r, phi, psi), components in (d/dr, d/dphi, d/dpsi);
+    raises ContactError unless the form's W > 0 is decided."""
+    form._decided
     r = float(np.asarray(point, dtype=float).reshape(3)[0])
-    if r > 0.0:
-        W = float(form.wronskian(r))
-        if W <= 0.0:
-            raise ContactError(f"W({r:.6g}) = {W:.3e} <= 0")
-    else:
-        if float(form.c.second_derivative(0.0) * form.d(0.0)) <= 0.0:
-            raise ContactError("contact condition fails on the core")
     rate_disk, rate_core = angular_rates(form, r)
     return np.array([0.0, rate_disk, rate_core])
 
@@ -244,39 +246,20 @@ class ReturnSystem:
 
     def tau(self, r):
         """First return time at radius r (limit value at r = 0)."""
-        r = np.asarray(r, dtype=float)
-        form = self.form
-        W = form.wronskian(r)
-        c2 = float(form.c.second_derivative(0.0))
-        d2 = float(form.d.second_derivative(0.0))
-        d0 = float(form.d(0.0))
-        at0 = r == 0.0
-        if self.section == "core-angle":
-            den = np.where(at0, 1.0, form.c.derivative(r))
-            out = np.where(at0, self.fiber * d0, self.fiber * W / den)
-        else:
-            lim = self.fiber * c2 * d0 / abs(d2) if d2 != 0.0 else math.inf
-            den = np.where(at0, 1.0, np.abs(form.d.derivative(r)))
-            out = np.where(at0, lim, self.fiber * W / den)
-        return float(out) if r.ndim == 0 else out
+        W, mdp, cp = self.form._rate_terms(r)
+        with np.errstate(divide="ignore"):
+            out = self.fiber * W / np.abs(cp if self.section == "core-angle" else mdp)
+        return float(out) if np.ndim(out) == 0 else out
 
     def shift(self, r):
         """Advance of the complementary angle over one return."""
-        r = np.asarray(r, dtype=float)
-        form = self.form
-        c2 = float(form.c.second_derivative(0.0))
-        d2 = float(form.d.second_derivative(0.0))
-        cp = form.c.derivative(r)
-        dp = form.d.derivative(r)
-        at0 = r == 0.0
-        if self.section == "core-angle":
-            den = np.where(at0, 1.0, cp)
-            out = np.where(at0, -self.fiber * d2 / c2, -self.fiber * dp / den)
-        else:
-            lim = DISK_PERIOD * c2 / abs(d2) if d2 != 0.0 else math.inf
-            den = np.where(at0, 1.0, np.abs(dp))
-            out = np.where(at0, lim, DISK_PERIOD * cp / den)
-        return float(out) if r.ndim == 0 else out
+        W, mdp, cp = self.form._rate_terms(r)
+        with np.errstate(divide="ignore"):
+            if self.section == "core-angle":
+                out = self.fiber * mdp / cp
+            else:
+                out = DISK_PERIOD * cp / np.abs(mdp)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def return_system(form: RotForm, section: str) -> ReturnSystem:
@@ -345,10 +328,10 @@ def _closure(form: RotForm, r: np.ndarray, period: np.ndarray):
 
 def _torus_period(form: RotForm, r: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Minimal period at (p, q)-resonant radii."""
-    W = form.wronskian(r)
+    W, mdp, cp = form._rate_terms(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        core = q * form.core_period * W / np.abs(form.c.derivative(r))
-        disk = np.abs(p) * DISK_PERIOD * W / np.abs(form.d.derivative(r))
+        core = q * form.core_period * W / np.abs(cp)
+        disk = np.abs(p) * DISK_PERIOD * W / np.abs(mdp)
     return np.where(q != 0, core, disk)
 
 

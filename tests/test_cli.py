@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -104,16 +105,18 @@ def test_rotorus_orbits_csv(tmp_path):
 def test_parser_shared_without_leaking_arguments(tmp_path):
     # the parser is built once; each call still parses into a fresh namespace
     assert build_parser() is build_parser()
-    assert run(DESIGN + ["--format", "json", "--tol", "0.5"], tmp_path / "a") == 0
+    assert run(DESIGN + ["--format", "json"], tmp_path / "a") == 0
     assert not (tmp_path / "a" / "tau.svg").exists()
     rc = main(["rotorus", "orbits", str(tmp_path / "a" / "binding_form.json"),
                "--tmax", "2", "--qmax", "3", "--out", str(tmp_path / "orb")])
     assert rc == 0
     assert {p.name for p in (tmp_path / "orb").iterdir()} == \
         {"orbits.csv", "orbits.json", "orbits.svg"}
+    assert main(["rotorus", "volume", str(tmp_path / "a" / "binding_form.json"),
+                 "--tol", "0.5", "--out", str(tmp_path / "vol")]) == 0
     args = build_parser().parse_args(["rotorus", "orbits", "form.json"])
-    assert (args.format, args.tol, args.out) == ("json,csv,svg", None, ".")
-    assert not hasattr(args, "s")
+    assert (args.format, args.out) == ({"json", "csv", "svg"}, ".")
+    assert not hasattr(args, "s") and not hasattr(args, "tol")
     assert run(DESIGN, tmp_path / "b") == 0
     assert (tmp_path / "b" / "tau.svg").exists()
 
@@ -187,6 +190,16 @@ def test_plug_verify_a_identity(tmp_path):
     assert rc == 1
 
 
+def count_calls(monkeypatch, *names) -> dict:
+    """Wrap plug-module functions; each call's result is appended to its list."""
+    results = {name: [] for name in names}
+    for name, out in results.items():
+        fn = getattr(plug_module, name)
+        monkeypatch.setattr(plug_module, name, lambda *args, fn=fn, out=out, **kw:
+                            out.append(fn(*args, **kw)) or out[-1])
+    return results
+
+
 def test_plug_realize_and_volume(tmp_path, capsys):
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
     rc = main(["plug", "realize", str(plug_file), "--knots", "2049",
@@ -200,6 +213,7 @@ def test_plug_realize_and_volume(tmp_path, capsys):
     assert rc == 0
     vol = json.loads((tmp_path / "plug_volume.json").read_text())
     assert vol["spread"] <= 1e-9
+    assert vol["section_name"] == "disk" and "section" in vol
     # the realized form's volume is `plug realize` then `rotorus volume`
     assert "realized" not in vol
 
@@ -247,11 +261,7 @@ def test_plug_verify_b_reads_the_plugs_sigma_minimum(tmp_path, monkeypatch):
     # both from the plug and takes its orbits from one orbit_periods pass
     ham = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.7),), time=1.0),))
     plug_file = write_plug(tmp_path / "plug.json", ham.to_dict())
-    results = {"action": [], "orbit_periods": [], "_min_sigma": []}
-    for name, out in results.items():
-        fn = getattr(plug_module, name)
-        monkeypatch.setattr(plug_module, name, lambda *args, fn=fn, out=out, **kw:
-                            out.append(fn(*args, **kw)) or out[-1])
+    results = count_calls(monkeypatch, "action", "orbit_periods", "_min_sigma")
     assert main(["plug", "verify-b", str(plug_file), "--n", "1", "--eps", "10",
                  "--kmax", "1", "--out", str(tmp_path)]) == 1
     assert {name: len(out) for name, out in results.items()} == dict.fromkeys(results, 1)
@@ -259,6 +269,26 @@ def test_plug_verify_b_reads_the_plugs_sigma_minimum(tmp_path, monkeypatch):
     sig_min, z_min = results["_min_sigma"][0]
     assert (b1["name"], b1["passed"]) == ("b1", False)
     assert b1["margin"] == 0.0 - sig_min and b1["witness"] == [z_min.real, z_min.imag]
+
+
+def test_plug_realize_builds_one_plug(tmp_path, monkeypatch):
+    # realize_rotational takes sigma from make_plug; the CLI reads the plug
+    # file without building a plug of its own first
+    plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
+    results = count_calls(monkeypatch, "action", "_min_sigma", "make_plug")
+    assert main(["plug", "realize", str(plug_file), "--knots", "257",
+                 "--out", str(tmp_path)]) == 0
+    assert {name: len(out) for name, out in results.items()} == dict.fromkeys(results, 1)
+
+
+def test_plug_radius_must_be_its_maps(tmp_path, capsys):
+    plug_file = tmp_path / "plug.json"
+    plug_file.write_text(json.dumps({"L": 1.0, "radius": 0.9,
+                                     "map": DiskMap(0.05, ()).to_dict()}))
+    for command in ("volume", "realize"):
+        assert main(["plug", command, str(plug_file), "--out", str(tmp_path)]) == 2
+        assert "differs from its map's radius" in capsys.readouterr().err
+    assert not (tmp_path / "plug_volume.json").exists()
 
 
 def test_plug_rescale(tmp_path):
@@ -311,6 +341,14 @@ def test_certify_rejects_unknown_keys(tmp_path, capsys):
     rc = main(["certify", "run", str(assembly), "--out", str(tmp_path)])
     assert rc == 2
     assert "unknown keys" in capsys.readouterr().err
+    # an inline plug entry is checked as a plug file is
+    plug = json.loads(assembly.read_text())["plugs"][0]
+    for entry, message in (({**plug, "surprise": 1}, "unknown keys: surprise"),
+                           ({"L": 1.0, "map": plug["map"]}, "missing keys: radius")):
+        write_assembly(assembly, plugs=[entry])
+        assert main(["certify", "run", str(assembly), "--out", str(tmp_path)]) == 2
+        assert f"inline plug: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_certify_sweep_monotone(tmp_path, capsys):
@@ -333,6 +371,87 @@ def test_missing_input_is_config_error(tmp_path, capsys):
 def test_bad_format_is_config_error(tmp_path, capsys):
     assert run(DESIGN + ["--format", "docx"], tmp_path) == 2
     assert "unknown output format" in capsys.readouterr().err
+    # profile design writes json and svg, never csv
+    assert run(DESIGN + ["--format", "csv"], tmp_path) == 2
+    assert "unknown output format: csv" in capsys.readouterr().err
+
+
+# Every subcommand's settable values (argparse dests, positionals included)
+# and an argv that runs it on the files `cli_inputs` writes.
+COMMANDS = {
+    "profile design": ({"s", "delta", "rho", "r0", "r1", "format", "out"}, DESIGN[2:]),
+    "profile verify": ({"curve", "format", "out"}, ["{d}/curve.json"]),
+    "rotorus analyze": ({"form", "tmax", "qmax", "tol", "out"},
+                        ["{d}/binding_form.json", "--qmax", "2"]),
+    "rotorus orbits": ({"form", "tmax", "qmax", "format", "out"},
+                       ["{d}/binding_form.json", "--qmax", "2"]),
+    "rotorus volume": ({"form", "tol", "out"}, ["{d}/binding_form.json"]),
+    "disk act": ({"map", "out"}, ["{d}/map.json"]),
+    "disk cal": ({"map", "tol", "out"}, ["{d}/map.json"]),
+    "disk periodic": ({"map", "kmax", "format", "out"}, ["{d}/map.json", "--kmax", "2"]),
+    "plug build": ({"map", "L", "out"}, ["{d}/map.json"]),
+    "plug verify-a": ({"plug", "eps", "kmax", "out"},
+                      ["{d}/plug.json", "--eps", "0.01", "--kmax", "2"]),
+    "plug verify-b": ({"plug", "n", "eps", "kmax", "out"},
+                      ["{d}/plug.json", "--n", "1", "--eps", "0.01", "--kmax", "1"]),
+    "plug orbits": ({"plug", "kmax", "out"}, ["{d}/plug.json", "--kmax", "2"]),
+    "plug volume": ({"plug", "tol", "out"}, ["{d}/plug.json"]),
+    "plug rescale": ({"plug", "factor", "out"}, ["{d}/plug.json", "--factor", "0.5"]),
+    "plug realize": ({"plug", "knots", "out"}, ["{d}/plug.json", "--knots", "257"]),
+    "certify run": ({"assembly", "kmax", "out"}, ["{d}/assembly.json", "--kmax", "1"]),
+    "certify sweep": ({"eps", "ell", "kmax", "out"}, ["--eps", "0.01,0.001", "--kmax", "1"]),
+}
+
+
+def subcommand_options(command: str) -> set[str]:
+    parser = build_parser()
+    for name in command.split():
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    twist = DiskMap(0.05, (RadialTwist(RadialFunction.bump(3.5, 0.04)),)).to_dict()
+    (d / "map.json").write_text(json.dumps(twist))
+    write_plug(d / "plug.json", twist)
+    write_assembly(d / "assembly.json", plugs=["plug.json"])
+    assert run(DESIGN + ["--format", "json"], d) == 0
+    return d
+
+
+def test_parser_pins_each_subcommands_options():
+    assert sum(len(opts) for opts, _ in COMMANDS.values()) == 63
+    for command, (opts, _) in COMMANDS.items():
+        assert subcommand_options(command) == opts, command
+
+
+class ReadRecorder:
+    """A parsed namespace that records which attributes are read."""
+
+    def __init__(self, namespace):
+        self._values, self.read = vars(namespace), set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        try:
+            return self._values[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_option_is_read_by_its_handler(command, cli_inputs, tmp_path):
+    opts, argv = COMMANDS[command]
+    argv = command.split() + [a.format(d=cli_inputs) for a in argv]
+    args = ReadRecorder(build_parser().parse_args(argv + ["--out", str(tmp_path)]))
+    assert args.func(args) == 0
+    assert args.read >= opts
+    # a flag the handler would not read is refused
+    for flag in ({"--tol", "--format"} - {f"--{o}" for o in opts}):
+        assert main(argv + [flag, "1"]) == 2, (command, flag)
 
 
 # Runs in a fresh interpreter: design a profile, analyze its rotorus, build
