@@ -45,7 +45,6 @@ from .diskmap import (
 )
 from .numerics import (
     NonConvergenceError,
-    OdeSpec,
     PiecewisePoly,
     QuadratureSpec,
     RadialFunction,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .plug import PlugReport, PlugSystem, verify_a
+from .plug import A3_K_MAX, PlugReport, PlugSystem, verify_a
 
 __all__ = [
     "CHAIN_TOL",
@@ -105,6 +105,18 @@ class TraceStep:
                 f"{float(self.rhs):.12g}  ({self.text})")
 
 
+def _check_design(eps: float | Fraction, areas: Sequence[float] = (),
+                  n_circles: int = 1) -> None:
+    """Refuse a circle count below 1, an eps outside (0, 1) or a collar
+    area that is not a positive finite number."""
+    if n_circles < 1:
+        raise CertificationError("need at least one boundary circle")
+    if not (math.isfinite(eps) and 0 < eps < 1):
+        raise CertificationError("eps must lie in (0, 1)")
+    if any(not math.isfinite(a) or a <= 0.0 for a in areas):
+        raise CertificationError("collar areas must be positive")
+
+
 def _require(step: TraceStep) -> TraceStep:
     if not step.holds:
         raise CertificationError(
@@ -131,14 +143,9 @@ class AssemblyInput:
     def __post_init__(self):
         object.__setattr__(self, "areas", tuple(float(a) for a in self.areas))
         object.__setattr__(self, "plug_reports", tuple(self.plug_reports))
-        if self.n_circles < 1:
-            raise CertificationError("need at least one boundary circle")
-        if not (math.isfinite(self.eps) and 0.0 < self.eps < 1.0):
-            raise CertificationError("eps must lie in (0, 1)")
+        _check_design(self.eps, self.areas, self.n_circles)
         if len(self.areas) != self.n_circles:
             raise CertificationError("need one collar area per circle")
-        if any(not math.isfinite(a) or a <= 0.0 for a in self.areas):
-            raise CertificationError("collar areas must be positive")
         if len(self.plug_reports) != self.n_circles:
             raise CertificationError("need one plug report per circle")
         for rep in self.plug_reports:
@@ -150,7 +157,7 @@ class AssemblyInput:
 
 
 def assemble(eps: float, areas: Sequence[float], plugs: Sequence[PlugSystem],
-             tau_bound: float, k_max: int = 8) -> AssemblyInput:
+             tau_bound: float, k_max: int = A3_K_MAX) -> AssemblyInput:
     """Verify each plug at budget eps and collect the assembly input."""
     if len(plugs) != len(areas):
         raise CertificationError("need one plug per collar area")
@@ -165,10 +172,7 @@ def plan_radii(areas: Sequence[float], eps: float) -> tuple[float, ...]:
     The disks fit strictly inside their collars because their area is
     the collar area shrunk by 1 - eps.
     """
-    if not (math.isfinite(eps) and 0.0 < eps < 1.0):
-        raise CertificationError("eps must lie in (0, 1)")
-    if any(not math.isfinite(a) or a <= 0.0 for a in areas):
-        raise CertificationError("collar areas must be positive")
+    _check_design(eps, areas)
     return tuple(math.sqrt((1.0 - eps) * a / math.pi) for a in areas)
 
 
@@ -353,11 +357,8 @@ class Certificate:
 
 def bound_formula(n_circles: int, eps: float | Fraction) -> Fraction:
     """(1 - eps)^2 / (eps (3 ell + 1)) as an exact rational."""
-    if n_circles < 1:
-        raise CertificationError("need at least one boundary circle")
+    _check_design(eps, n_circles=n_circles)
     e = _decimal(eps)
-    if not 0 < e < 1:
-        raise CertificationError("eps must lie in (0, 1)")
     return (1 - e) ** 2 / (e * (3 * n_circles + 1))
 
 

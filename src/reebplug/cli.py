@@ -20,10 +20,10 @@ import numpy as np
 
 from .certify import CertificationError, assemble, systolic_bound
 from .diskmap import (BumpHarmonic, DiskMap, PrimitiveOneForm, action, calabi,
-                      periodic_points)
+                      periodic_points, periodic_search)
 from .numerics import NonConvergenceError, integrate_disk
-from .plug import (PlugError, PlugSystem, make_plug, orbit_periods, plug_inputs,
-                   realize_rotational, rescale_plug, verify_a, verify_b)
+from .plug import (A3_K_MAX, PlugError, PlugSystem, make_plug, orbit_periods,
+                   plug_inputs, realize_rotational, rescale_plug, verify_a, verify_b)
 from .profile import (ProfileCurve, ProfileError, ProfileParams,
                       design_profile, tau_profile, to_rotform, verify_profile)
 from .plots import orbit_plot, profile_plot, tau_plot
@@ -274,6 +274,7 @@ def _cmd_disk_cal(args) -> int:
 def _cmd_disk_periodic(args) -> int:
     phi = _load_map(args.map)
     orbits = periodic_points(phi, args.kmax)
+    search, _ = periodic_search(phi, args.kmax)
     # T is the suspension period at unit fiber: k + action along orbit
     rows = [_map_orbit_row(o, o.period + o.action_sum) for o in orbits]
     out = _out_dir(args)
@@ -285,9 +286,7 @@ def _cmd_disk_periodic(args) -> int:
             "orbits": [{"kind": k, "r": r, "p": p, "q": q, "T": T,
                         "r_lo": o.r_lo, "r_hi": o.r_hi}
                        for (k, r, p, q, T), o in zip(rows, orbits)],
-            "context": {"k_max": args.kmax, "fiber": 1.0,
-                        "method": ("closed-form families" if phi.is_radial
-                                   else "newton grid"),
+            "context": {**search, "fiber": 1.0,
                         "families": "one entry per family; r_lo and r_hi "
                                     "bound its radii, equal for a point "
                                     "or circle"}})
@@ -347,7 +346,7 @@ def _cmd_plug_verify_a(args) -> int:
 
 def _cmd_plug_verify_b(args) -> int:
     return _write_report(args, "report_b.json",
-                         verify_b(_load_plug(args.plug), args.n, args.eps, k_max=args.kmax))
+                         verify_b(_load_plug(args.plug), args.n, args.eps))
 
 
 def _cmd_plug_orbits(args) -> int:
@@ -379,8 +378,7 @@ def _cmd_plug_realize(args) -> int:
     phi, L = plug_inputs(_read_plug(args.plug))
     if not phi.is_radial:
         raise PlugError("realization needs a radial map")
-    form = realize_rotational(phi.combined_profile(), L, phi.radius,
-                              n_knots=args.knots)
+    form = realize_rotational(phi.combined_profile(), L, phi.radius)
     _write_json(_out_dir(args) / "form.json", form.to_dict())
     print(f"realized: contact margin {contact_check(form):.9g}, "
           f"core period {form.core_period * float(form.d(0.0)):.9g}")
@@ -524,12 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(psub, "verify-a", _cmd_plug_verify_a, "unit-fiber axiom checks")
     p.add_argument("plug")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=int, default=A3_K_MAX)
     p = _command(psub, "verify-b", _cmd_plug_verify_b, "sharpness-n axiom checks")
     p.add_argument("plug")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--kmax", type=int, default=None)
     p = _command(psub, "orbits", _cmd_plug_orbits,
                  "periodic orbits with suspended periods")
     p.add_argument("plug")
@@ -543,19 +540,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(psub, "realize", _cmd_plug_realize,
                  "rotational form with this return system")
     p.add_argument("plug")
-    p.add_argument("--knots", type=int, default=8193)
 
     cert = sub.add_parser("certify", help="systolic-ratio certificates")
     csub = cert.add_subparsers(dest="action", required=True)
     p = _command(csub, "run", _cmd_certify_run, "certify one assembly file")
     p.add_argument("assembly")
-    p.add_argument("--kmax", type=int, default=6)
+    p.add_argument("--kmax", type=int, default=A3_K_MAX)
     p = _command(csub, "sweep", _cmd_certify_sweep,
                  "certificates along a decreasing eps list")
     p.add_argument("--eps", default="0.01,0.001,0.0001",
                    help="comma list, decreasing")
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--kmax", type=int, default=A3_K_MAX)
 
     return parser
 

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    OdeSpec,
     PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
@@ -60,7 +59,6 @@ from .numerics import (
 _GAUSS5 = gauss_rule(5)
 _GAUSS15 = gauss_rule(15)
 SEED_GRID = (24, 16)   # periodic_points' default n_r x n_theta Newton seeds
-_FLOW_ODE = OdeSpec(tol=1e-12)   # per-step tolerance of Hamiltonian flows
 
 
 def _gauss_pieces(fn, lo, hi):
@@ -320,7 +318,7 @@ class HamiltonianStep:
                 out[2 * n:] = jet[0] - 0.5 * (x * g.real + yy * g.imag)
             return out
 
-        y = ode_flow(rhs, y0, self.time, _FLOW_ODE).state
+        y = ode_flow(rhs, y0, self.time).state
         z = y[:n] + 1j * y[n:2 * n]
         if not with_jac:
             return z, y[2 * n:]
@@ -741,6 +739,19 @@ def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
                           float(res), float(lo), float(hi))
             for a, kk, s, w, res, lo, hi in zip(at, fam_k, acts, turn, residual,
                                                   fam_lo, fam_hi)]
+
+
+def periodic_search(phi: DiskMap, k_max: int) -> tuple[dict, str]:
+    """How periodic_points searches phi to period k_max, on its default
+    seed grid: the search entries that reports and artifacts record, and
+    a note on its completeness."""
+    if phi.is_radial:
+        return ({"k_max": k_max, "method": "closed-form families"},
+                f"closed-form families, exact for periods <= {k_max}")
+    n_r, n_theta = SEED_GRID
+    return ({"k_max": k_max, "method": "newton grid", "n_r": n_r, "n_theta": n_theta},
+            f"newton grid, up to search completeness "
+            f"(k_max = {k_max}, grid = {n_r}x{n_theta})")
 
 
 def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],

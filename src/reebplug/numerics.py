@@ -38,17 +38,10 @@ class QuadratureSpec:
     rel_tol: float = 1e-10
 
 
-@dataclass(frozen=True)
-class OdeSpec:
-    """Tolerance contract for ODE flows (per-step tolerance)."""
-
-    tol: float = 1e-10
-
-
 _QUAD_LIMIT = 200          # subdivisions of adaptive 1D quadrature
+_ODE_TOL = 1e-12           # per-step relative and absolute tolerance of ode_flow
 _ODE_MAX_STEPS = 200_000   # an ODE flow that needs more steps raises
 DEFAULT_QUAD = QuadratureSpec()
-DEFAULT_ODE = OdeSpec()
 
 
 @dataclass(frozen=True)
@@ -1040,16 +1033,17 @@ def integrate_disk(fn, radius: float, spec: QuadratureSpec | None = None) -> Qua
 # ODE flow
 # ---------------------------------------------------------------------------
 
-def ode_flow(field, start, time: float, spec: OdeSpec | None = None) -> OdeResult:
-    """Flow `start` for `time` along field(t, y); counts steps, detects NaN."""
+def ode_flow(field, start, time: float) -> OdeResult:
+    """Flow `start` for `time` along field(t, y) at per-step tolerance
+    1e-12; counts steps, detects NaN.  The error estimate is the step
+    count times that tolerance times the largest state entry seen."""
     from scipy.integrate import DOP853
 
-    spec = spec or DEFAULT_ODE
     y0 = np.asarray(start, dtype=float)
     if time == 0.0 or y0.size == 0:
         return OdeResult(y0.copy(), 0.0, 0)
     stepper = DOP853(field, 0.0, y0, t_bound=float(time),
-                     rtol=spec.tol, atol=spec.tol)
+                     rtol=_ODE_TOL, atol=_ODE_TOL)
     n = 0
     scale = max(1.0, float(np.max(np.abs(y0))))
     while stepper.status == "running":
@@ -1062,7 +1056,7 @@ def ode_flow(field, start, time: float, spec: OdeSpec | None = None) -> OdeResul
             raise NonConvergenceError(f"ODE exceeded {_ODE_MAX_STEPS} steps")
     if stepper.status == "failed":
         raise NonConvergenceError(f"ODE step failure: {msg}")
-    return OdeResult(stepper.y.copy(), n * spec.tol * scale, n)
+    return OdeResult(stepper.y.copy(), n * _ODE_TOL * scale, n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,17 +20,17 @@ actions, no short periodic orbits) whose estimates survive rescaling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diskmap import (SEED_GRID, ActionField, DiskMap, PeriodicOrbit, RadialTwist,
-                      action, calabi, periodic_points, rescale)
+from .diskmap import (ActionField, DiskMap, PeriodicOrbit, RadialTwist, action,
+                      calabi, periodic_points, periodic_search, rescale)
 from .numerics import PiecewisePoly, RadialFunction, gauss_piecewise, integrate_disk
 from .rotorus import RotForm, contact_check
 
 B3_TOL = 1e-12
+A3_K_MAX = 8   # default a3 search depth: periods 1..8
 
 
 class PlugError(ValueError):
@@ -209,34 +209,17 @@ class PlugReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _search_method(phi: DiskMap, k_max: int) -> tuple[dict, str]:
-    """How orbit_periods searches phi: the report's search entries and
-    the completeness note of the checks that read it."""
-    if phi.is_radial:
-        return ({"method": "closed-form families"},
-                f"closed-form families, exact for periods <= {k_max}")
-    n_r, n_theta = SEED_GRID
-    return ({"method": "newton grid", "n_r": n_r, "n_theta": n_theta},
-            f"newton grid, up to search completeness "
-            f"(k_max = {k_max}, grid = {n_r}x{n_theta})")
-
-
-def verify_b(plug: PlugSystem, n: int, eps: float,
-             k_max: int | None = None) -> PlugReport:
+def verify_b(plug: PlugSystem, n: int, eps: float) -> PlugReport:
     """Check the b-family for the plug at sharpness n and budget eps.
 
     b1: min sigma >= -L + L/n, read from the plug; b2: CAL < -L pi r^2
     + eps; b3: every detected fixed point has non-negative action;
     b4: no detected periodic orbit has minimal period in [2, n-1].
-    b3 and b4 read orbit_periods: exact for radial maps up to k_max,
-    a bounded Newton search otherwise; `search` and the notes say which.
+    b3 and b4 read orbit_periods to depth n: exact for radial maps, a
+    bounded Newton search otherwise; `search` and the notes say which.
     """
     if eps <= 0.0 or n < 1:
         raise ValueError("need eps > 0, n >= 1")
-    k_search = n if k_max is None else k_max
-    if k_search < n:
-        warnings.warn(f"k_max = {k_search} below n = {n}: the b4 search "
-                      "cannot cover every short period", stacklevel=2)
     floor = -plug.L + plug.L / n
     b1 = AxiomCheck("b1", plug.sigma_min >= floor, floor - plug.sigma_min,
                     note=f"min sigma = {plug.sigma_min:.9g} at floor {floor:.9g}",
@@ -247,8 +230,8 @@ def verify_b(plug: PlugSystem, n: int, eps: float,
     b2 = AxiomCheck("b2", cal < cap, cal - cap,
                     note=f"CAL = {cal:.9g}, cap = {cap:.9g}")
 
-    found = orbit_periods(plug, max(k_search, 1))
-    method, completeness = _search_method(plug.map, k_search)
+    found = orbit_periods(plug, n)
+    search, completeness = periodic_search(plug.map, n)
     fixed = [o for o, _ in found if o.period == 1]
     if fixed:
         worst = min(fixed, key=lambda o: o.action_sum)
@@ -270,11 +253,11 @@ def verify_b(plug: PlugSystem, n: int, eps: float,
     return PlugReport(
         family="b", checks=(b1, b2, b3, b4),
         t_min=min(T for _, T in found) if found else None,
-        volume=plug.L * math.pi * plug.radius ** 2 + cal,
-        search={"L": plug.L, "n": n, "eps": eps, "k_max": k_search, **method})
+        volume=plug.volume(),
+        search={"L": plug.L, "n": n, "eps": eps, **search})
 
 
-def verify_a(plug: PlugSystem, eps: float, k_max: int = 8) -> PlugReport:
+def verify_a(plug: PlugSystem, eps: float, k_max: int = A3_K_MAX) -> PlugReport:
     """Check the a-family for a unit-fiber plug at volume budget eps.
 
     a1/a2 are structural at the return-system level and reported as
@@ -293,7 +276,7 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = 8) -> PlugReport:
                     note="holds by model: suspension fibers are isotopic "
                          "to the trivial ones")
     found = orbit_periods(plug, k_max)
-    method, completeness = _search_method(plug.map, k_max)
+    search, completeness = periodic_search(plug.map, k_max)
     if found:
         worst, t_min = min(found, key=lambda item: item[1])
         a3 = AxiomCheck("a3", t_min >= 1.0 - 1e-10, 1.0 - t_min,
@@ -307,7 +290,7 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = 8) -> PlugReport:
                     note=f"volume = {vol:.9g}, eps = {eps:.9g}")
     return PlugReport(
         family="a", checks=(a1, a2, a3, a4), t_min=t_min, volume=vol,
-        search={"eps": eps, "k_max": k_max, **method})
+        search={"eps": eps, **search})
 
 
 # ---------------------------------------------------------------------------

@@ -383,18 +383,6 @@ class TauProfile:
         out = np.where(at0, self._tau0, (gp * fv - fp * gv) / den)
         return float(out) if r.ndim == 0 else out
 
-    def slope(self, r):
-        """d tau/dr = g (f'g'' - g'f'') / ((1 + delta) g'^2); 0 at r = 0."""
-        r = np.asarray(r, dtype=float)
-        gv = self.curve.g(r)
-        fp, gp = self.curve.f.derivative(r), self.curve.g.derivative(r)
-        fpp = self.curve.f.second_derivative(r)
-        gpp = self.curve.g.second_derivative(r)
-        at0 = r == 0.0
-        den = np.where(at0, 1.0, self._scale * gp * gp)
-        out = np.where(at0, 0.0, gv * (fp * gpp - gp * fpp) / den)
-        return float(out) if r.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class TauReport:

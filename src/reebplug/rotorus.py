@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (
-    OdeSpec,
     PiecewisePoly,
     RadialFunction,
     gauss_piecewise,
@@ -193,15 +192,14 @@ def exact_flow(form: RotForm, start, time: float) -> np.ndarray:
     return np.array([r, phi + rate_disk * time, psi + rate_core * time])
 
 
-def ode_check(form: RotForm, start, time: float,
-              spec: OdeSpec | None = None, n_checks: int = 8) -> float:
+def ode_check(form: RotForm, start, time: float) -> float:
     """Integrate the Reeb field numerically and compare with exact_flow.
 
     The ODE runs in Cartesian disk coordinates (x, y, psi), where the
     radius is not privileged, so conservation of r is genuinely tested.
-    Returns the sup over n_checks checkpoints of the coordinate error.
+    Returns the sup over 8 evenly spaced checkpoints of the coordinate
+    error.
     """
-    spec = spec or OdeSpec(tol=1e-10)
     r0, phi0, psi0 = np.asarray(start, dtype=float).reshape(3)
 
     def field(t, y):
@@ -212,9 +210,9 @@ def ode_check(form: RotForm, start, time: float,
 
     state = np.array([r0 * math.cos(phi0), r0 * math.sin(phi0), psi0])
     worst = 0.0
-    times = np.linspace(0.0, time, n_checks + 1)
+    times = np.linspace(0.0, time, 9)
     for t_prev, t_next in zip(times[:-1], times[1:]):
-        state = ode_flow(field, state, t_next - t_prev, spec).state
+        state = ode_flow(field, state, t_next - t_prev).state
         r, phi, psi = exact_flow(form, start, t_next)
         target = np.array([r * math.cos(phi), r * math.sin(phi), psi])
         worst = max(worst, float(np.max(np.abs(state - target))))
@@ -224,10 +222,6 @@ def ode_check(form: RotForm, start, time: float,
 # ---------------------------------------------------------------------------
 # Return systems
 # ---------------------------------------------------------------------------
-
-_SECTIONS = {"disk-angle": "disk-angle", "disk": "disk-angle",
-             "core-angle": "core-angle", "core": "core-angle"}
-
 
 @dataclass(frozen=True)
 class ReturnSystem:
@@ -263,17 +257,16 @@ class ReturnSystem:
 
 
 def return_system(form: RotForm, section: str) -> ReturnSystem:
-    """Return data on a section, after deciding transversality on (0, R]."""
-    try:
-        sec = _SECTIONS[section]
-    except KeyError:
+    """Return data on the "disk-angle" or "core-angle" section, after
+    deciding transversality on (0, R]."""
+    if section not in ("disk-angle", "core-angle"):
         raise ValueError(f"unknown section {section!r}; "
-                         "use 'disk-angle' or 'core-angle'") from None
-    return _transverse(form, sec)
+                         "use 'disk-angle' or 'core-angle'")
+    return _transverse(form, section)
 
 
 def _transverse(form: RotForm, sec: str) -> ReturnSystem:
-    """return_system on a canonical section name; raises SectionError."""
+    """return_system on a known section name; raises SectionError."""
     cp, dp, _ = form._pieces
     if sec == "core-angle":
         r_bad = cp.positive()

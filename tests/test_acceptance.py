@@ -31,8 +31,7 @@ from reebplug.diskmap import (ActionField, BumpHarmonic, DiskMap,
                               HamiltonianStep, PrimitiveOneForm, RadialTwist,
                               action, calabi, compose, compose_action,
                               rescale)
-from reebplug.numerics import (OdeSpec, QuadratureSpec, RadialFunction,
-                               find_root_1d)
+from reebplug.numerics import QuadratureSpec, RadialFunction, find_root_1d
 from reebplug.plug import PlugError, make_plug, realize_rotational, verify_a, verify_b
 from reebplug.profile import (ProfileParams, TauProfile, design_profile,
                               tau_profile, to_rotform, verify_profile)
@@ -116,8 +115,7 @@ def test_criterion_2_reeb_correctness():
         horizon = 10.0 * form.core_period * float(form.d(0.0))
         for frac in (0.35, 0.6, 0.85):
             start = (frac * form.radius, 0.2, -0.4)
-            flow_err = max(flow_err, ode_check(form, start, horizon,
-                                               spec=OdeSpec(tol=1e-12)))
+            flow_err = max(flow_err, ode_check(form, start, horizon))
     ok = pair_err < 1e-10 and contr_err < 1e-10 and flow_err < 1e-6
     report(2, ok, f"4 forms x 1000 points: |alpha(R)-1| {pair_err:.2e}, "
                   f"|i_R dalpha| {contr_err:.2e}, ODE vs closed flow "
@@ -128,7 +126,7 @@ def test_criterion_3_return_formulas():
     curve = binding_curve()
     p = curve.params
     form = to_rotform(curve)
-    rs = return_system(form, "disk")
+    rs = return_system(form, "disk-angle")
     tau = TauProfile(curve)
 
     rr = np.linspace(0.0, p.rho, 2000)
@@ -279,7 +277,7 @@ def test_criterion_7_verifier_soundness():
     for amp, support, radius in [(-0.5, 0.6, 1.0), (-2.0, 1.0, 1.0),
                                  (-5.0, 0.8, 1.0), (-0.05, 0.3, 0.5)]:
         phi = DiskMap(radius, (RadialTwist(RadialFunction.bump(amp, support)),))
-        rep = verify_b(make_plug(phi, 1.0), n=2, eps=10.0, k_max=2)
+        rep = verify_b(make_plug(phi, 1.0), n=2, eps=10.0)
         b3 = rep.check("b3")
         assert not b3.passed and not rep.passed
         assert math.hypot(*b3.witness) < 1e-6
@@ -293,24 +291,22 @@ def test_criterion_7_verifier_soundness():
         assert rep.check("a4").passed is (math.pi * radius ** 2 < eps)
     notes.append("a4 iff pi r^2 < eps on 4/4 identity plugs")
 
-    # planted violations, one per remaining axiom; the truncated b4
-    # search below n must be declared, not silent.  sigma(0) = -1 makes
+    # planted violations, one per remaining axiom.  sigma(0) = -1 makes
     # tau(0) = 0, which is no plug; sigma(0) = -0.875 is a plug whose b1
     # floor at n = 4 is -0.75
     deep = DiskMap(1.0, (RadialTwist(RadialFunction.bump(-8.0, 1.0)),))
     with pytest.raises(PlugError, match="tau"):
         make_plug(deep, 1.0)
     below = make_plug(DiskMap(1.0, (RadialTwist(RadialFunction.bump(-7.0, 1.0)),)), 1.0)
-    with pytest.warns(UserWarning, match="cannot cover"):
-        b1 = verify_b(below, n=4, eps=10.0, k_max=2).check("b1")
+    b1 = verify_b(below, n=4, eps=10.0).check("b1")
     assert not b1.passed and math.hypot(*b1.witness) < 1e-6
 
-    fat = verify_b(make_plug(DiskMap(1.0, ()), 1.0), n=2, eps=1e-6, k_max=2).check("b2")
+    fat = verify_b(make_plug(DiskMap(1.0, ()), 1.0), n=2, eps=1e-6).check("b2")
     assert not fat.passed  # CAL = 0 cannot undercut -pi + 1e-6
 
     shallow = DiskMap(1.0, (RadialTwist(RadialFunction.bump(-4.0, 1.0)),))
     r2 = math.sqrt(1.0 - (math.pi / 4.0) ** (1.0 / 3.0))
-    b4 = verify_b(make_plug(shallow, 1.0), n=3, eps=10.0, k_max=3).check("b4")
+    b4 = verify_b(make_plug(shallow, 1.0), n=3, eps=10.0).check("b4")
     assert not b4.passed and abs(math.hypot(*b4.witness) - r2) < 1e-6
 
     slow = make_plug(DiskMap(0.12, (RadialTwist(

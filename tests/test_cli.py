@@ -171,7 +171,7 @@ def test_disk_periodic_header(tmp_path):
 def test_plug_build_and_verify_b_fails_negative_twist(tmp_path):
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(4.0))
     rc = main(["plug", "verify-b", str(plug_file), "--n", "3",
-               "--eps", "0.7", "--kmax", "3", "--out", str(tmp_path)])
+               "--eps", "0.7", "--out", str(tmp_path)])
     assert rc == 1
     rep = json.loads((tmp_path / "report_b.json").read_text())
     b3 = [c for c in rep["checks"] if c["name"] == "b3"][0]
@@ -202,8 +202,7 @@ def count_calls(monkeypatch, *names) -> dict:
 
 def test_plug_realize_and_volume(tmp_path, capsys):
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
-    rc = main(["plug", "realize", str(plug_file), "--knots", "2049",
-               "--out", str(tmp_path)])
+    rc = main(["plug", "realize", str(plug_file), "--out", str(tmp_path)])
     assert rc == 0
     form = RotForm.from_dict(
         json.loads((tmp_path / "form.json").read_text()))
@@ -240,8 +239,7 @@ def test_plug_realize_decides_contact_once(tmp_path, capsys, monkeypatch):
     # the margin printed is the one realize_rotational decided
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
     calls = count_contact_decisions(monkeypatch)
-    assert main(["plug", "realize", str(plug_file), "--knots", "257",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["plug", "realize", str(plug_file), "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
     form = RotForm.from_dict(json.loads((tmp_path / "form.json").read_text()))
     assert f"contact margin {rotorus.contact_check(form):.9g}," in capsys.readouterr().out
@@ -263,7 +261,7 @@ def test_plug_verify_b_reads_the_plugs_sigma_minimum(tmp_path, monkeypatch):
     plug_file = write_plug(tmp_path / "plug.json", ham.to_dict())
     results = count_calls(monkeypatch, "action", "orbit_periods", "_min_sigma")
     assert main(["plug", "verify-b", str(plug_file), "--n", "1", "--eps", "10",
-                 "--kmax", "1", "--out", str(tmp_path)]) == 1
+                 "--out", str(tmp_path)]) == 1
     assert {name: len(out) for name, out in results.items()} == dict.fromkeys(results, 1)
     b1 = json.loads((tmp_path / "report_b.json").read_text())["checks"][0]
     sig_min, z_min = results["_min_sigma"][0]
@@ -276,8 +274,7 @@ def test_plug_realize_builds_one_plug(tmp_path, monkeypatch):
     # file without building a plug of its own first
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
     results = count_calls(monkeypatch, "action", "_min_sigma", "make_plug")
-    assert main(["plug", "realize", str(plug_file), "--knots", "257",
-                 "--out", str(tmp_path)]) == 0
+    assert main(["plug", "realize", str(plug_file), "--out", str(tmp_path)]) == 0
     assert {name: len(out) for name, out in results.items()} == dict.fromkeys(results, 1)
 
 
@@ -392,12 +389,12 @@ COMMANDS = {
     "plug build": ({"map", "L", "out"}, ["{d}/map.json"]),
     "plug verify-a": ({"plug", "eps", "kmax", "out"},
                       ["{d}/plug.json", "--eps", "0.01", "--kmax", "2"]),
-    "plug verify-b": ({"plug", "n", "eps", "kmax", "out"},
-                      ["{d}/plug.json", "--n", "1", "--eps", "0.01", "--kmax", "1"]),
+    "plug verify-b": ({"plug", "n", "eps", "out"},
+                      ["{d}/plug.json", "--n", "1", "--eps", "0.01"]),
     "plug orbits": ({"plug", "kmax", "out"}, ["{d}/plug.json", "--kmax", "2"]),
     "plug volume": ({"plug", "tol", "out"}, ["{d}/plug.json"]),
     "plug rescale": ({"plug", "factor", "out"}, ["{d}/plug.json", "--factor", "0.5"]),
-    "plug realize": ({"plug", "knots", "out"}, ["{d}/plug.json", "--knots", "257"]),
+    "plug realize": ({"plug", "out"}, ["{d}/plug.json"]),
     "certify run": ({"assembly", "kmax", "out"}, ["{d}/assembly.json", "--kmax", "1"]),
     "certify sweep": ({"eps", "ell", "kmax", "out"}, ["--eps", "0.01,0.001", "--kmax", "1"]),
 }
@@ -423,7 +420,7 @@ def cli_inputs(tmp_path_factory):
 
 
 def test_parser_pins_each_subcommands_options():
-    assert sum(len(opts) for opts, _ in COMMANDS.values()) == 63
+    assert sum(len(opts) for opts, _ in COMMANDS.values()) == 61
     for command, (opts, _) in COMMANDS.items():
         assert subcommand_options(command) == opts, command
 
@@ -449,8 +446,9 @@ def test_every_option_is_read_by_its_handler(command, cli_inputs, tmp_path):
     args = ReadRecorder(build_parser().parse_args(argv + ["--out", str(tmp_path)]))
     assert args.func(args) == 0
     assert args.read >= opts
-    # a flag the handler would not read is refused
-    for flag in ({"--tol", "--format"} - {f"--{o}" for o in opts}):
+    # a flag the handler would not read is refused, --kmax on verify-b
+    # (which searches to its --n) and --knots on realize included
+    for flag in ({"--tol", "--format", "--kmax", "--knots"} - {f"--{o}" for o in opts}):
         assert main(argv + [flag, "1"]) == 2, (command, flag)
 
 
@@ -479,7 +477,7 @@ commands = [
     ["plug", "build", str(out / "twist.json"), "--L", "1.0"],
     ["plug", "verify-a", plug, "--eps", "0.01", "--kmax", "2"],
     ["plug", "orbits", plug, "--kmax", "2"],
-    ["plug", "realize", plug, "--knots", "257"],
+    ["plug", "realize", plug],
     ["plug", "volume", plug],
     ["certify", "run", str(out / "assembly.json"), "--kmax", "1"],
     ["certify", "sweep", "--eps", "0.01,0.001", "--ell", "1", "--kmax", "1"],

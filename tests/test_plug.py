@@ -115,11 +115,6 @@ def test_verify_b_planted_fixed_circle():
     assert b3.margin > 0.1
 
 
-def test_verify_b_warns_when_k_max_below_n():
-    with pytest.warns(UserWarning, match="b4"):
-        verify_b(make_plug(identity_map(1.0), 1.0), n=4, eps=10.0, k_max=2)
-
-
 def test_verify_b_positive_twist_passes():
     phi = DiskMap(1.0, (RadialTwist(RadialFunction.bump(2.0, 0.8)),))
     eps = math.pi + (2.0 * 0.64 * math.pi / 20.0) * 0.8 ** 2 + 1.0
@@ -183,7 +178,7 @@ def test_realize_zero_twist_is_trivial_form():
     rr = np.linspace(0.0, 1.0, 57)
     assert np.max(np.abs(form.d(rr) - 1.0)) < 1e-15
     assert np.max(np.abs(form.c(rr) - 0.5 * rr ** 2)) < 1e-15
-    sys = return_system(form, "core")
+    sys = return_system(form, "core-angle")
     assert np.max(np.abs(sys.tau(rr) - 0.7)) < 1e-12
     assert np.max(np.abs(sys.shift(rr))) < 1e-12
 
@@ -192,7 +187,7 @@ def test_realize_twist_reproduces_return_system():
     plug = make_plug(twist_map(4.0), 1.0)
     rho = plug.map.combined_profile()
     form = realize_rotational(rho, L=1.0, R=1.0)
-    sys = return_system(form, "core")
+    sys = return_system(form, "core-angle")
     # probe off the knot grid too
     rr = np.linspace(0.0, 1.0, 2311)
     tau_true = 1.0 + plug.sigma.radial_profile(rr)

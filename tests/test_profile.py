@@ -104,18 +104,10 @@ def test_tau_monotone_and_bounds(curve):
     assert report.sup_deviation == pytest.approx(bound, rel=1e-12)
 
 
-def test_tau_slope_matches_finite_difference(curve):
-    tau, _ = tau_profile(curve)
-    h = 1e-6
-    for r in (0.15, 0.2, 0.27, 0.4):
-        fd = (tau(r + h) - tau(r - h)) / (2.0 * h)
-        assert tau.slope(r) == pytest.approx(fd, abs=5e-6)
-
-
 def test_tau_matches_return_system(curve):
     # independent path through the rotational-form return-time formula
     form = to_rotform(curve)
-    rs = return_system(form, "disk")
+    rs = return_system(form, "disk-angle")
     tau, _ = tau_profile(curve)
     rr = np.linspace(0.0, curve.params.rho, 500)
     assert np.max(np.abs(rs.tau(rr) - tau(rr))) < 1e-10
@@ -124,7 +116,7 @@ def test_tau_matches_return_system(curve):
 def test_shift_values_on_line_and_outer(curve):
     p = curve.params
     form = to_rotform(curve)
-    rs = return_system(form, "disk")
+    rs = return_system(form, "disk-angle")
     rr = np.linspace(0.01 * p.r0, p.r0, 120)
     shifts = rs.shift(rr)
     # -2 pi = +2 pi mod 2 pi on the page

@@ -194,15 +194,14 @@ def test_ode_radius_drift():
     horizon = 10.0 * form.core_period
 
     # re-run the same cartesian integration to expose the radius directly
-    from reebplug.numerics import OdeSpec, ode_flow
+    from reebplug.numerics import ode_flow
 
     def field(t, y):
         rad = math.hypot(y[0], y[1])
         rate_disk, rate_core = rt.angular_rates(form, rad)
         return np.array([-y[1] * rate_disk, y[0] * rate_disk, rate_core])
 
-    out = ode_flow(field, np.array([0.55, 0.0, 0.0]), horizon,
-                   OdeSpec(tol=1e-10))
+    out = ode_flow(field, np.array([0.55, 0.0, 0.0]), horizon)
     assert abs(math.hypot(out.state[0], out.state[1]) - 0.55) < 1e-8
     assert rt.ode_check(form, start, horizon) < 1e-6
 
@@ -236,6 +235,13 @@ def test_return_system_core_binding():
         form.core_period * float(form.d(0.0)), abs=1e-13)
     assert sys.tau(1e-4) == pytest.approx(sys.tau(0.0), abs=1e-8)
     assert sys.tau(0.3) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_return_system_takes_only_the_section_names():
+    form = binding_inner_form(delta=0.1)
+    for alias in ("disk", "core"):
+        with pytest.raises(ValueError, match="unknown section"):
+            rt.return_system(form, alias)
 
 
 def test_return_time_matches_flow_root():
