@@ -73,6 +73,22 @@ class OdeResult:
 _PARITIES = ("even", "odd", "none")
 
 
+def check_hermite(knots, values, derivs, parity: str) -> None:
+    """Raise ValueError unless the Hermite data make a RadialFunction of
+    the given parity; checks one row of knots, or (k, n) rows at once."""
+    if not all(np.all(np.isfinite(a)) for a in (knots, values, derivs)):
+        raise ValueError("non-finite data")
+    if np.any(np.diff(knots) <= 0):
+        raise ValueError("knots must be strictly increasing")
+    if parity not in _PARITIES:
+        raise ValueError(f"parity must be one of {_PARITIES}")
+    at0 = knots[..., 0] == 0.0
+    if parity == "even" and np.any(at0 & (np.abs(derivs[..., 0]) > 1e-12)):
+        raise ValueError("even parity requires f'(0) = 0")
+    if parity == "odd" and np.any(at0 & (np.abs(values[..., 0]) > 1e-12)):
+        raise ValueError("odd parity requires f(0) = 0")
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """Piecewise cubic Hermite function of the radius, C1 on its knot range.
@@ -99,17 +115,7 @@ class RadialFunction:
             raise ValueError("need at least two knots")
         if values.shape != knots.shape or derivs.shape != knots.shape:
             raise ValueError("knots, values, derivs must have equal shape")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
-            raise ValueError("non-finite data")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
-        if self.parity not in _PARITIES:
-            raise ValueError(f"parity must be one of {_PARITIES}")
-        if knots[0] == 0.0:
-            if self.parity == "even" and abs(derivs[0]) > 1e-12:
-                raise ValueError("even parity requires f'(0) = 0")
-            if self.parity == "odd" and abs(values[0]) > 1e-12:
-                raise ValueError("odd parity requires f(0) = 0")
+        check_hermite(knots, values, derivs, self.parity)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
@@ -501,42 +507,43 @@ class PiecewisePoly:
     def from_radial(cls, *fns: RadialFunction, upto: float | None = None) -> "PiecewisePoly":
         """The sum of RadialFunctions as Hermite cubics built from their raw data.
 
-        Functions on the first one's knots are summed in their data, each
-        sum's rounding error found exactly, so f + g keeps an exact zero
-        where the data cancel; others are added as polynomials.  `upto`
-        extends the last value flat beyond the last knot, as
-        RadialFunction does.
+        Functions on the first one's knots are summed in their data (see
+        `from_hermite`), so f + g keeps an exact zero where the data
+        cancel; others are added as polynomials.  `upto` extends the last
+        value flat beyond the last knot, as RadialFunction does.
         """
-        return cls.from_radials([fns], upto)
+        x = fns[0].knots
+        same = [np.array_equal(fn.knots, x) for fn in fns]
+        p = cls.from_hermite(x[None], [(fn.values[None], fn.derivs[None])
+                                       for fn, s in zip(fns, same) if s], upto)
+        for fn, s in zip(fns, same):
+            if not s:
+                p = p + cls.from_radial(fn, upto=upto)
+        return p
 
     @classmethod
-    def from_radials(cls, sums, upto: float | None = None) -> "PiecewisePoly":
-        """One function per entry of `sums` (a tuple of RadialFunctions to
-        add, as in from_radial), their pieces concatenated in order."""
-        data = []
-        for fns in sums:
-            x, v, d = fns[0].knots, fns[0].values, fns[0].derivs
-            ev, ed, rest = np.zeros_like(v), np.zeros_like(d), []
-            for fn in fns[1:]:
-                if np.array_equal(fn.knots, x):
-                    v, e1 = _two_sum(v, fn.values)
-                    d, e2 = _two_sum(d, fn.derivs)
-                    ev, ed = ev + e1, ed + e2
-                else:
-                    rest.append(fn)
-            data.append((x, v, ev, d, ed, rest))
-        if (len({item[0].size for item in data}) == 1 and not any(item[5] for item in data)
-                and (upto is None or all(item[0][-1] >= upto for item in data))):
-            return cls._hermite(*(np.stack(cols) for cols in list(zip(*data))[:5]))
-        polys = []
-        for x, v, ev, d, ed, rest in data:
-            p = cls._hermite(x[None], v[None], ev[None], d[None], ed[None])
-            if upto is not None and upto > x[-1]:
-                p = cls.concat([p, cls(x[-1:], np.array([upto]), v[-1:, None], ev[-1:, None])])
-            for fn in rest:
-                p = p + cls.from_radial(fn, upto=upto)
-            polys.append(p)
-        return cls.concat(polys)
+    def from_hermite(cls, x, terms, upto: float | None = None) -> "PiecewisePoly":
+        """One function per row of the knots x (k, n), their pieces in order.
+
+        Each term is a pair (values, derivatives) of arrays shaped like x,
+        and a function's Hermite data are the sums of its rows over the
+        terms, each sum's rounding error found exactly (TwoSum).  `upto`
+        extends each row's last value flat beyond its last knot.
+        """
+        v, d = terms[0]
+        ev, ed = np.zeros_like(v), np.zeros_like(d)
+        for tv, td in terms[1:]:
+            v, e1 = _two_sum(v, tv)
+            d, e2 = _two_sum(d, td)
+            ev, ed = ev + e1, ed + e2
+        p = cls._hermite(x, v, ev, d, ed)
+        ext = np.flatnonzero(x[:, -1] < upto) if upto is not None else []
+        if not len(ext):
+            return p
+        at = (ext + 1) * (x.shape[1] - 1)
+        return cls(np.insert(p.lo, at, x[ext, -1]), np.insert(p.hi, at, upto),
+                   np.insert(p.coef, at, _pad(v[ext, -1:], 4), axis=0),
+                   np.insert(p.err, at, _pad(ev[ext, -1:], 4), axis=0))
 
     @classmethod
     def _hermite(cls, x, v, ev, d, ed) -> "PiecewisePoly":

@@ -18,17 +18,19 @@ The designer fixes the two exact outer arcs and searches a small
 family of interpolants in between: an acceleration cubic along the
 line (the B3 drop bound forces f to cross most of [0, 1] before r0)
 and a bridge cubic pair turning the tangent from the line direction
-(1, -1) to the final direction (0, -1).
+(1, -1) to the final direction (0, -1).  The family is one stack of
+Hermite data arrays, a row per candidate, decided by one batched sign
+decision per condition; the B3 drop, which every candidate shares, is
+evaluated once, and only the winner becomes a ProfileCurve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PiecewisePoly, RadialFunction
+from .numerics import PiecewisePoly, RadialFunction, check_hermite
 from .rotorus import DISK_PERIOD, RotForm, contact_check
 
 # the parabolic parameterization is required on this inner fraction of
@@ -85,7 +87,7 @@ class ProfileCurve:
 
     def gap(self) -> float:
         """Achieved drop g(r0) - g(rho), budgeted at 2 delta by B3."""
-        return float(self.g(self.params.r0) - self.g(self.params.rho))
+        return _drop(self.g, self.params)
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),
@@ -96,6 +98,10 @@ class ProfileCurve:
         return cls(RadialFunction.from_dict(d["f"]),
                    RadialFunction.from_dict(d["g"]),
                    ProfileParams.from_dict(d["params"]))
+
+
+def _drop(g: RadialFunction, p: ProfileParams) -> float:
+    return float(g(p.r0) - g(p.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +170,28 @@ class _Parts:
             setattr(self, name, part)
 
     @classmethod
-    def of(cls, curves: list[ProfileCurve]) -> "_Parts":
-        rho = curves[0].params.rho
-        sums = ([(c.f,) for c in curves] + [(c.g,) for c in curves]
-                + [(c.f, c.g) for c in curves])
-        if all(np.array_equal(c.f.knots, c.g.knots) for c in curves):
-            fgs = PiecewisePoly.from_radials(sums, upto=rho).restrict(0.0, rho)
-        else:
-            fns = [PiecewisePoly.from_radial(*fn, upto=rho).restrict(0.0, rho) for fn in sums]
-            k = len(curves)
-            fgs = PiecewisePoly.concat([fn.refine(fns[2 * k + i % k].knots)
-                                        for i, fn in enumerate(fns)])
+    def of(cls, curve: ProfileCurve) -> "_Parts":
+        """The parts of one curve, whose f and g may sit on different knots."""
+        f, g, rho = curve.f, curve.g, curve.params.rho
+        if np.array_equal(f.knots, g.knots):
+            return cls.stacked(rho, f.knots[None], f.values[None], f.derivs[None],
+                               g.values[None], g.derivs[None])
+        fns = [PiecewisePoly.from_radial(*fn, upto=rho).restrict(0.0, rho)
+               for fn in ((f,), (g,), (f, g))]
+        return cls._side_by_side(PiecewisePoly.concat([fn.refine(fns[2].knots) for fn in fns]))
+
+    @classmethod
+    def stacked(cls, rho: float, knots, fv, fd, gv, gd) -> "_Parts":
+        """The parts of the curves whose f and g data (values fv, gv and
+        derivatives fd, gd) sit on the rows of knots, one curve per row."""
+        f, g = (fv, fd), (gv, gd)
+        return cls._side_by_side(PiecewisePoly.concat(
+            [PiecewisePoly.from_hermite(knots, terms, upto=rho) for terms in ([f], [g], [f, g])]
+        ).restrict(0.0, rho))
+
+    @classmethod
+    def _side_by_side(cls, fgs: PiecewisePoly) -> "_Parts":
+        """From f, g and s laid side by side on the same pieces."""
         d1 = fgs.derivative()
         f, _, _ = _blocks(fgs, 3)
         fpp, _, spp = _blocks(d1.derivative(), 3)
@@ -187,16 +204,17 @@ class _Parts:
 
 
 def _conditions(p: ProfileParams, parts: _Parts):
-    """(name, tolerance, terms) per condition; each term (P, Q, curve) is
-    a quantity P/Q (Q > 0, or None for 1) that must stay below the
-    tolerance, with the curve index of its pieces."""
+    """(name, tolerance, P, Q, curve) per condition: the quantity P/Q
+    (Q > 0) must stay below the tolerance on every piece, and curve holds
+    the curve index of each piece."""
     line = 1.0 + p.delta
     every, outer = parts, parts.on(p.r1, p.rho)
     inner, arc = parts.on(0.0, p.r0), parts.on(0.0, ARC_WINDOW * p.r0)
     r2 = arc.r * arc.r
     b1 = [outer.f - 1.0, outer.g - (1.0 - outer.r * outer.r) * p.s]
     b3 = [(inner.s - line, inner), (arc.f - r2, arc), (arc.g - (line - r2), arc)]
-    return [
+    # terms (P, Q, curve) of each condition, Q None for 1
+    conds = [
         ("positivity", 1e-12, [(-every.f, None, every.curve), (-every.g, None, every.curve)]),
         ("B1", ARC_TOL, [(d, None, outer.curve) for q in b1 for d in (q, -q)]),
         ("B2", 0.0, [(every.gp, every.r, every.curve)]),
@@ -207,25 +225,22 @@ def _conditions(p: ProfileParams, parts: _Parts):
         ("B5", B5_TOL, [(every.spp * every.fp - every.fpp * every.sp,
                          every.fp * every.fp + every.gp * every.gp, every.curve)]),
     ]
+    return [(name, tol,
+             PiecewisePoly.concat([P for P, _, _ in terms]),
+             PiecewisePoly.concat([P.constant(1.0) if Q is None else Q for P, Q, _ in terms]),
+             np.concatenate([c for _, _, c in terms]))
+            for name, tol, terms in conds]
 
 
-def _stack(terms):
-    """One condition's terms side by side: P, Q (1 where None) and the
-    curve index of each piece."""
-    return (PiecewisePoly.concat([p for p, _, _ in terms]),
-            PiecewisePoly.concat([p.constant(1.0) if q is None else q for p, q, _ in terms]),
-            np.concatenate([c for _, _, c in terms]))
-
-
-def _holds(curves: list[ProfileCurve], conds) -> np.ndarray:
-    """holds[k, i]: condition i holds for curve k, from one batched sign
-    decision of tolerance * Q - P > 0 per condition (plus the B3 drop)."""
-    holds = np.ones((len(curves), len(conds)), dtype=bool)
-    for i, (name, tol, terms) in enumerate(conds):
-        P, Q, curve = _stack(terms)
+def _holds(conds, k: int, drop_ok: bool) -> np.ndarray:
+    """holds[j, i]: condition i holds for curve j of k, from one batched
+    sign decision of tolerance * Q - P > 0 per condition; B3 also needs
+    drop_ok, the B3 drop bound, which the curves share."""
+    holds = np.ones((k, len(conds)), dtype=bool)
+    for i, (name, tol, P, Q, curve) in enumerate(conds):
         holds[curve[~np.isnan((Q * tol - P).failures())], i] = False
         if name == "B3":
-            holds[:, i] &= [c.gap() <= 2.0 * c.params.delta for c in curves]
+            holds[:, i] &= drop_ok
     return holds
 
 
@@ -243,12 +258,11 @@ def verify_profile(curve: ProfileCurve) -> ProfileReport:
     their margin is the maximum of the quantity divided by r.
     """
     p = curve.params
-    conds = _conditions(p, _Parts.of([curve]))
-    holds = _holds([curve], conds)[0]
+    conds = _conditions(p, _Parts.of(curve))
     gap = curve.gap()
+    holds = _holds(conds, 1, gap <= 2.0 * p.delta)[0]
     out = []
-    for (name, tol, terms), ok in zip(conds, holds):
-        P, Q, _ = _stack(terms)
+    for (name, tol, P, Q, _), ok in zip(conds, holds):
         m, r_at = P.extreme(Q, largest=True)
         ok = bool(ok)
         if name == "B1":
@@ -267,7 +281,7 @@ def verify_profile(curve: ProfileCurve) -> ProfileReport:
 # Design
 # ---------------------------------------------------------------------------
 
-def _snap(x: float) -> float:
+def _snap(x):
     """Round to the 2^-46 grid so that (1 + delta) - x subtracts exactly.
 
     Dyadic values make the g-data on the line segment the bitwise
@@ -275,29 +289,62 @@ def _snap(x: float) -> float:
     B5 numerator s''f' - f''s' (s = f + g) is then an exact zero that
     the verifier can decide, instead of 1/h^2-amplified noise.
     """
-    return math.ldexp(round(math.ldexp(x, 46)), -46)
+    return np.ldexp(np.rint(np.ldexp(x, 46)), -46)
 
 
-def _assemble(p: ProfileParams, r_arc: float, g0: float, df0: float) -> ProfileCurve:
-    """Exact outer arcs plus the two interior cubics, as 5-knot data."""
+def _family(p: ProfileParams):
+    """The designer's candidates (see design_profile): knots, f values,
+    f', g values and g', one row of 5-knot Hermite data per candidate,
+    checked as RadialFunction checks its data."""
+    if not p.feasible():
+        raise ProfileError(
+            f"infeasible: s (1 - r1^2) = {p.s * (1 - p.r1 ** 2):.6g} "
+            f"must be < delta = {p.delta:.6g}")
     line = 1.0 + p.delta
-    f_arc = _snap(r_arc * r_arc)
-    f0 = _snap(line - g0)
-    g_r1 = p.s * (1.0 - p.r1 ** 2)
     g_rho = p.s * (1.0 - p.rho ** 2)
-    knots = np.array([0.0, r_arc, p.r0, p.r1, p.rho])
-    f = RadialFunction(
-        knots,
-        np.array([0.0, f_arc, f0, 1.0, 1.0]),
-        np.array([0.0, 2.0 * r_arc, df0, 0.0, 0.0]),
-        parity="even")
-    g = RadialFunction(
-        knots,
-        np.array([line, line - f_arc, line - f0, g_r1, g_rho]),
-        np.array([0.0, -2.0 * r_arc, -df0, -2.0 * p.s * p.r1,
-                  -2.0 * p.s * p.rho]),
-        parity="even")
-    return ProfileCurve(f, g, p)
+    g0 = g_rho + 1.9 * p.delta
+    f0 = line - g0
+    if f0 <= (0.45 * p.r0) ** 2:
+        raise ProfileError("delta too large: the drop target swallows "
+                           "the whole line segment")
+
+    g_r1 = p.s * (1.0 - p.r1 ** 2)
+    sec_f = (1.0 - f0) / (p.r1 - p.r0)
+    sec_g = (g0 - g_r1) / (p.r1 - p.r0)
+    r_arc, df0 = [], []
+    for arc_frac in (0.25, 0.3, 0.35, 0.4):
+        r = arc_frac * p.r0
+        sec_acc = (f0 - r ** 2) / (p.r0 - r)
+        hi = 0.95 * 3.0 * min(sec_f, sec_g, sec_acc)
+        if hi > 0.0:
+            r_arc += [r] * 24
+            df0.append(np.linspace(0.05 * hi, hi, 24))
+    if not r_arc:
+        raise ProfileError("no admissible interior found "
+                           "(first violated condition: feasibility)")
+    r_arc, df0 = np.array(r_arc), np.concatenate(df0)
+
+    # the exact outer arcs plus the two interior cubics
+    f_arc = _snap(r_arc * r_arc)
+    f0 = _snap(f0)
+
+    def rows(*cols):
+        return np.column_stack(np.broadcast_arrays(*cols))
+
+    knots = rows(0.0, r_arc, p.r0, p.r1, p.rho)
+    fv, fd = rows(0.0, f_arc, f0, 1.0, 1.0), rows(0.0, 2.0 * r_arc, df0, 0.0, 0.0)
+    gv = rows(line, line - f_arc, line - f0, g_r1, g_rho)
+    gd = rows(0.0, -2.0 * r_arc, -df0, -2.0 * p.s * p.r1, -2.0 * p.s * p.rho)
+    check_hermite(knots, fv, fd, "even")
+    check_hermite(knots, gv, gd, "even")
+    return knots, fv, fd, gv, gd
+
+
+def _assemble(p: ProfileParams, family, i: int) -> ProfileCurve:
+    """Candidate i of the family as a curve."""
+    knots, fv, fd, gv, gd = family
+    return ProfileCurve(RadialFunction(knots[i], fv[i], fd[i], parity="even"),
+                        RadialFunction(knots[i], gv[i], gd[i], parity="even"), p)
 
 
 def _bridge_margins(p: ProfileParams, parts: _Parts) -> np.ndarray:
@@ -309,53 +356,42 @@ def _bridge_margins(p: ProfileParams, parts: _Parts) -> np.ndarray:
     return np.minimum(s4[:k], s5[:k])
 
 
+def _decide(p: ProfileParams, family):
+    """The conditions of the whole family, its parts and holds[i, j]:
+    condition j holds for candidate i (see verify_profile)."""
+    knots, _, _, gv, gd = family
+    parts = _Parts.stacked(p.rho, *family)
+    conds = _conditions(p, parts)
+    # every candidate shares g's data at r0 and on [r1, rho], so the
+    # first one's B3 drop is the whole family's
+    drop = _drop(RadialFunction(knots[0], gv[0], gd[0], parity="even"), p)
+    return conds, parts, _holds(conds, len(knots), drop <= 2.0 * p.delta)
+
+
 def design_profile(params: ProfileParams) -> ProfileCurve:
     """Construct a curve passing all five conditions.
 
     The outer arcs are fixed by B1 and B3.  The interior is a two-knot
     family: the radius r_arc up to which the curve keeps the exact
     parabolic parameterization, and the speed df0 at which it leaves
-    the line at r0.  All candidates are decided at once by the checks
-    of verify_profile, and the survivor with the largest minimum
-    turning margin on the bridge wins.  The drop g(r0) - g(rho) is set
-    to 1.9 delta, inside the 2 delta budget.
+    the line at r0.  The family (four arc radii times 24 speeds) is
+    built as stacked arrays of 5-knot Hermite data, one row per
+    candidate, and decided at once by the checks of verify_profile;
+    the B3 drop g(r0) - g(rho), which every candidate shares, is
+    evaluated once.  The survivor with the largest minimum turning
+    margin on the bridge wins, and only it becomes a ProfileCurve.  The
+    drop is set to 1.9 delta, inside the 2 delta budget.
     """
     p = params
-    if not p.feasible():
-        raise ProfileError(
-            f"infeasible: s (1 - r1^2) = {p.s * (1 - p.r1 ** 2):.6g} "
-            f"must be < delta = {p.delta:.6g}")
-    g_rho = p.s * (1.0 - p.rho ** 2)
-    g0 = g_rho + 1.9 * p.delta
-    f0 = 1.0 + p.delta - g0
-    if f0 <= (0.45 * p.r0) ** 2:
-        raise ProfileError("delta too large: the drop target swallows "
-                           "the whole line segment")
-
-    g_r1 = p.s * (1.0 - p.r1 ** 2)
-    sec_f = (1.0 - f0) / (p.r1 - p.r0)
-    sec_g = (g0 - g_r1) / (p.r1 - p.r0)
-    curves = []
-    for arc_frac in (0.25, 0.3, 0.35, 0.4):
-        r_arc = arc_frac * p.r0
-        sec_acc = (f0 - r_arc ** 2) / (p.r0 - r_arc)
-        hi = 0.95 * 3.0 * min(sec_f, sec_g, sec_acc)
-        if hi > 0.0:
-            curves += [_assemble(p, r_arc, g0, float(df0))
-                       for df0 in np.linspace(0.05 * hi, hi, 24)]
-    if not curves:
-        raise ProfileError("no admissible interior found "
-                           "(first violated condition: feasibility)")
-    parts = _Parts.of(curves)
-    conds = _conditions(p, parts)
-    holds = _holds(curves, conds)
+    family = _family(p)
+    conds, parts, holds = _decide(p, family)
     passed = holds.all(axis=1)
     if not passed.any():
         name = conds[int(np.argmin(holds[0]))][0]
         raise ProfileError(f"no admissible interior found "
                            f"(first violated condition: {name})")
     score = np.where(passed, _bridge_margins(p, parts), -np.inf)
-    return curves[int(np.argmax(score))]
+    return _assemble(p, family, int(np.argmax(score)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +453,7 @@ def tau_profile(curve: ProfileCurve) -> tuple[TauProfile, TauReport]:
     tau' = g (f'g'' - g'f'') / ((1 + delta) g'^2).
     """
     p = curve.params
-    c = _Parts.of([curve])
+    c = _Parts.of(curve)
     r_bad = (-c.gp).positive()
     if r_bad is not None:
         raise ProfileError(f"tau is undefined where g' >= 0 (r = {r_bad:.6g})")

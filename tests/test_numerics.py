@@ -11,6 +11,7 @@ from reebplug.numerics import (
     PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
+    check_hermite,
     find_root_1d,
     gauss_piecewise,
     integrate_1d,
@@ -523,6 +524,43 @@ def test_integral_matches_exact(seed):
         bound = np.sum(h * (poly.err @ w)) + gamma * np.sum(h * (np.abs(poly.coef) @ w))
         gap = abs(Fraction(poly.integral()) - _exact_integral(exact, poly.lo, poly.hi))
         assert gap <= Fraction(float(bound)), (seed, float(gap), float(bound))
+
+
+def test_from_hermite_rows_match_one_function_each():
+    # two functions side by side, the first ending short of `upto`: each
+    # row's pieces (its flat extension included) are those from_radial
+    # builds for it alone, and a row of sums is summed in the data
+    x = np.array([[0.0, 0.25, 0.5], [0.0, 0.5, 1.0]])
+    v = np.array([[1.0, 0.3, 0.1], [2.0, -1.0, 0.0]])
+    d = np.array([[0.0, -2.0, 0.5], [0.0, 1.0, -3.0]])
+    w = np.array([[-1.0, 0.7, 0.9], [0.5, 1.0 / 3.0, 0.25]])
+    fns = [[RadialFunction(x[i], a[i], b[i]) for i in range(2)] for a, b in ((v, d), (w, -d))]
+    for terms, sums in (([(v, d)], [(fn,) for fn in fns[0]]),
+                        ([(v, d), (w, -d)], list(zip(*fns)))):
+        rows = PiecewisePoly.from_hermite(x, terms, upto=1.0)
+        one = PiecewisePoly.concat([PiecewisePoly.from_radial(*fn, upto=1.0) for fn in sums])
+        assert rows.lo.tolist() == [0.0, 0.25, 0.5, 0.0, 0.5]
+        for name in ("lo", "hi", "coef", "err"):
+            assert np.array_equal(getattr(rows, name), getattr(one, name)), name
+    # f + g with cancelling data: an exact zero, not a rounding residue
+    zero = PiecewisePoly.from_hermite(x, [(v, d), (-v, -d)])
+    assert not zero.coef.any() and not zero.err.any()
+
+
+def test_check_hermite_refuses_any_bad_row():
+    x = np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
+    v, d = np.ones_like(x), np.zeros_like(x)
+    check_hermite(x, v, d, "even")
+    bent = d.copy()
+    bent[1, 0] = 1.0
+    with pytest.raises(ValueError, match="even parity"):
+        check_hermite(x, v, bent, "even")
+    back = x.copy()
+    back[1, 2] = 0.5
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_hermite(back, v, d, "even")
+    with pytest.raises(ValueError, match="non-finite"):
+        check_hermite(x, v, np.where(bent > 0, np.nan, d), "even")
 
 
 def test_extremes_take_a_shared_knot_from_the_tighter_side():

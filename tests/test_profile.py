@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from reebplug import profile
 from reebplug.numerics import RadialFunction
 from reebplug.profile import (ProfileCurve, ProfileError, ProfileParams,
                               design_profile, tau_profile, to_rotform,
@@ -260,3 +261,94 @@ def test_design_property(s, delta, rho, u0, u1):
     assert verify_profile(c).passed
     _, report = tau_profile(c)
     assert report.passed
+
+
+# -- reference: the design built and verified one candidate at a time -------
+
+def _reference_assemble(p, r_arc, g0, df0):
+    """One candidate's curve, built from its scalars as a ProfileCurve."""
+    def snap(x):
+        return math.ldexp(round(math.ldexp(x, 46)), -46)
+    line = 1.0 + p.delta
+    f_arc = snap(r_arc * r_arc)
+    f0 = snap(line - g0)
+    knots = np.array([0.0, r_arc, p.r0, p.r1, p.rho])
+    f = RadialFunction(knots, np.array([0.0, f_arc, f0, 1.0, 1.0]),
+                       np.array([0.0, 2.0 * r_arc, df0, 0.0, 0.0]), parity="even")
+    g = RadialFunction(knots,
+                       np.array([line, line - f_arc, line - f0, p.s * (1.0 - p.r1 ** 2),
+                                 p.s * (1.0 - p.rho ** 2)]),
+                       np.array([0.0, -2.0 * r_arc, -df0, -2.0 * p.s * p.r1,
+                                 -2.0 * p.s * p.rho]), parity="even")
+    return ProfileCurve(f, g, p)
+
+
+def reference_design(p):
+    """One curve per candidate, each decided by verify_profile: (curves,
+    reports, winner), the winner an error message where none passes."""
+    g0 = p.s * (1.0 - p.rho ** 2) + 1.9 * p.delta
+    f0 = 1.0 + p.delta - g0
+    sec_f = (1.0 - f0) / (p.r1 - p.r0)
+    sec_g = (g0 - p.s * (1.0 - p.r1 ** 2)) / (p.r1 - p.r0)
+    curves = []
+    for arc_frac in (0.25, 0.3, 0.35, 0.4):
+        r_arc = arc_frac * p.r0
+        hi = 0.95 * 3.0 * min(sec_f, sec_g, (f0 - r_arc ** 2) / (p.r0 - r_arc))
+        if hi > 0.0:
+            curves += [_reference_assemble(p, r_arc, g0, float(df0))
+                       for df0 in np.linspace(0.05 * hi, hi, 24)]
+    reports = [verify_profile(c) for c in curves]
+    if not any(r.passed for r in reports):
+        return curves, reports, ("no admissible interior found (first violated "
+                                 f"condition: {reports[0].first_failure().name})")
+    score = [profile._bridge_margins(p, profile._Parts.of(c))[0] if r.passed else -np.inf
+             for c, r in zip(curves, reports)]
+    return curves, reports, curves[int(np.argmax(score))]
+
+
+def _property_params(s, delta, rho, u0, u1):
+    r0 = rho * u0
+    return ProfileParams(s, delta, rho, r0, r0 + (rho - r0) * u1)
+
+
+ORACLE_SETS = [ProfileParams(*ps) for ps in PARAM_SETS] + [
+    # the pinned example of test_design_property
+    _property_params(0.0018488303433513984, 0.20854788573953909, 0.4057795911341834,
+                     0.3, 0.4189844474992267),
+    # the open "no admissible interior" class: every candidate fails B5
+    ProfileParams(0.046875, 0.03125, 1.0, 0.25, 0.625),
+]
+
+
+@pytest.mark.parametrize("p", ORACLE_SETS)
+def test_stacked_family_matches_per_candidate_design(p):
+    family = profile._family(p)
+    _, _, holds = profile._decide(p, family)
+    curves, reports, winner = reference_design(p)
+    assert holds.shape == (len(curves), 6)
+    for i, (c, r) in enumerate(zip(curves, reports)):
+        assert profile._assemble(p, family, i).to_dict() == c.to_dict()
+        assert holds[i].tolist() == [cond.passed for cond in r.conditions], i
+    if isinstance(winner, str):
+        with pytest.raises(ProfileError) as err:
+            design_profile(p)
+        assert str(err.value) == winner
+    else:
+        assert design_profile(p).to_dict() == winner.to_dict()
+
+
+def test_design_builds_no_curve_per_candidate(monkeypatch):
+    built = []
+    check = RadialFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    p = ProfileParams(*PARAM_SETS[0])
+    assert profile._family(p)[0].shape == (96, 5)
+    monkeypatch.setattr(RadialFunction, "__post_init__", counted)
+    design_profile(p)
+    # the winner's f and g, and the first candidate's g for the B3 drop
+    # that the family shares
+    assert len(built) == 3
