@@ -39,7 +39,6 @@ from .diskmap import (
     action,
     calabi,
     compose,
-    compose_action,
     periodic_points,
     rescale,
 )

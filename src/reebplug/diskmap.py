@@ -642,18 +642,6 @@ def action(phi: DiskMap, lam: PrimitiveOneForm = LAM0) -> ActionField:
     return ActionField(phi, lam)
 
 
-def compose_action(phi: DiskMap, psi: DiskMap, lam: PrimitiveOneForm = LAM0):
-    """sigma of phi o psi as sigma_phi(psi(z)) + sigma_psi(z) (cocycle rule)."""
-    s_phi = action(phi, lam)
-    s_psi = action(psi, lam)
-
-    def sigma(z):
-        z = np.asarray(z, dtype=complex)
-        return s_phi(psi.evaluate(z)) + s_psi(z)
-
-    return sigma
-
-
 def calabi(phi: DiskMap, lam: PrimitiveOneForm = LAM0,
            spec: QuadratureSpec | None = None) -> float:
     """CAL(phi) = integral of the action over the disk, as a closed form.

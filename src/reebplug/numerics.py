@@ -198,12 +198,12 @@ class RadialFunction:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        xr, _ = self._reflect(x)
+        xr, sgn = self._reflect(x)
         lo, hi = self.knots[0], self.knots[-1]
         xc = np.clip(xr, lo, hi)
         idx, t = self._locate(xc)
         out = (2.0 * self._c2[idx] + 6.0 * self._c3[idx] * t) / self._h[idx] ** 2
-        out = np.where((xr < lo) | (xr > hi), 0.0, out)
+        out = np.where((xr < lo) | (xr > hi), 0.0, out) * sgn
         return float(out[0]) if scalar else out
 
     # -- calculus -----------------------------------------------------
@@ -456,20 +456,14 @@ def _cubic_roots(c: np.ndarray, e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_best(p, groups, t, vals, piece):
-    """Per group label: the smallest of vals (rows: pieces `piece` of p,
-    columns: local points t) and its radius; inf where a group is absent."""
+def _best(p, t, vals, piece):
+    """The smallest of vals (rows: pieces `piece` of p, columns: local
+    points t) and its radius, NaN counted as inf; the first best piece
+    wins a tie."""
     vals = np.where(np.isnan(vals), np.inf, vals)
-    col = np.argmin(vals, axis=1)
-    row_best = vals[np.arange(vals.shape[0]), col]
-    n = int(groups.max()) + 1 if groups.size else 0
-    best = np.full(n, np.inf)
-    np.minimum.at(best, groups, row_best)
-    r = np.full(n, np.nan)
-    hit = np.flatnonzero(row_best == best[groups])[::-1]
-    i = piece[hit]
-    r[groups[hit]] = p.lo[i] + t[hit, col[hit]] * (p.hi[i] - p.lo[i])
-    return best, r
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    k = piece[i]
+    return vals[i, j], p.lo[k] + t[i, j] * (p.hi[k] - p.lo[k])
 
 
 class PiecewisePoly:
@@ -776,21 +770,14 @@ class PiecewisePoly:
     def extreme(self, den: "PiecewisePoly | None" = None,
                 largest: bool = False) -> tuple[float, float]:
         """(value, r) of the minimum (largest: maximum) over all pieces of
-        this function, or of its ratio to den > 0 (see `extremes`)."""
-        values, r = self.extremes(np.zeros(self.lo.size, dtype=int), den, largest)
-        return float(values[0]), float(r[0])
+        this function, or of its ratio to den > 0.
 
-    def extremes(self, groups: np.ndarray, den: "PiecewisePoly | None" = None,
-                 largest: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(values, r): per group label 0, 1, ... of the pieces, the minimum
-        (largest: maximum) of this function, or of its ratio to den > 0.
-
-        Starts from each group's best piece-end value m (at a knot that two
-        pieces of a group share, the one of smaller rounding bound), drops
-        every piece on which the Bernstein coefficients of P - m den show
-        that it cannot beat m beyond rounding, and evaluates the rest at
-        the real roots of P' den - P den' (batched companion eigenvalues).
-        At r = 0 the ratio takes its limit, common exact zeros factored out.
+        Starts from the best piece-end value m (at a knot that two pieces
+        share, the one of smaller rounding bound), drops every piece on
+        which the Bernstein coefficients of P - m den show that it cannot
+        beat m beyond rounding, and evaluates the rest at the real roots
+        of P' den - P den' (batched companion eigenvalues).  At r = 0 the
+        ratio takes its limit, common exact zeros factored out.
         """
         P = -self if largest else self
         if den is None:
@@ -800,20 +787,19 @@ class PiecewisePoly:
         P, Q = P._core_factored(Q)
         pc, qc = P.coef, Q.coef
         n = pc.shape[0]
-        groups = np.asarray(groups)
         t = np.repeat([[0.0, 1.0]], n, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             q0, q1 = qc[:, 0], _row_sums(qc)
             vals = np.stack([pc[:, 0] / q0, _row_sums(pc) / q1], axis=1)
             e0 = (P.err[:, 0] + np.abs(vals[:, 0]) * Q.err[:, 0]) / np.abs(q0)
             e1 = (_row_sums(P.err) + np.abs(vals[:, 1]) * _row_sums(Q.err)) / np.abs(q1)
-        knot = (P.hi[:-1] == P.lo[1:]) & (groups[:-1] == groups[1:])
+        knot = P.hi[:-1] == P.lo[1:]
         vals[:-1, 1][knot & (e1[:-1] > e0[1:])] = np.nan
         vals[1:, 0][knot & (e0[1:] > e1[:-1])] = np.nan
-        m, r_m = _group_best(P, groups, t, vals, np.arange(n))
+        m, r_m = _best(P, t, vals, np.arange(n))
         with np.errstate(invalid="ignore"):
-            # a group already at -inf keeps nothing (NaN compares false)
-            D = P + Q * -m[groups]
+            # a minimum already at -inf keeps nothing (NaN compares false)
+            D = P + Q * -m
             B, E = _bernstein(D.coef, D.err)
             keep = np.flatnonzero(np.any(B + E * _SAFE < 0.0, axis=1))
         if keep.size:
@@ -824,10 +810,10 @@ class PiecewisePoly:
             t = np.clip(np.nan_to_num(_real_roots(crit), nan=0.0), 0.0, 1.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = _horner(pk, t) / _horner(qk, t)
-            mk, rk = _group_best(P, groups[keep], t, vals, keep)
-            better = np.flatnonzero(np.isfinite(mk) & (mk < m[: mk.size]))
-            m[better], r_m[better] = mk[better], rk[better]
-        return (-m if largest else m), r_m
+            mk, rk = _best(P, t, vals, keep)
+            if np.isfinite(mk) and mk < m:
+                m, r_m = mk, rk
+        return float(-m if largest else m), float(r_m)
 
     def bernstein(self) -> tuple[np.ndarray, np.ndarray]:
         """Bernstein coefficients of every piece on its [lo, hi], with bounds."""

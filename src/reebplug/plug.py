@@ -43,14 +43,18 @@ class PlugError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PlugSystem:
-    """Disk radius, fiber length L, map, action field, min sigma and its point."""
+    """Fiber length L, map, action field, min sigma and its point; the
+    disk radius is the map's."""
 
-    radius: float
     L: float
     map: DiskMap
     sigma: ActionField
     sigma_min: float
     tau_argmin: complex
+
+    @property
+    def radius(self) -> float:
+        return self.map.radius
 
     @property
     def tau_min(self) -> float:
@@ -149,7 +153,7 @@ def make_plug(phi: DiskMap, L: float,
     if L + sig_min <= 0.0:
         raise PlugError(
             f"tau <= 0: tau({z_at.real:.6g}, {z_at.imag:.6g}) = {L + sig_min:.6g}")
-    return PlugSystem(phi.radius, L, phi, sigma, sig_min, z_at)
+    return PlugSystem(L, phi, sigma, sig_min, z_at)
 
 
 def orbit_periods(plug: PlugSystem, k_max: int) -> list[tuple[PeriodicOrbit, float]]:
@@ -306,9 +310,8 @@ def rescale_plug(plug: PlugSystem, factor: float) -> PlugSystem:
     if factor <= 0.0:
         raise ValueError("factor must be positive")
     new_map = rescale(plug.map, factor)
-    return PlugSystem(plug.radius * factor, plug.L * factor ** 2, new_map,
-                      action(new_map), plug.sigma_min * factor ** 2,
-                      plug.tau_argmin * factor)
+    return PlugSystem(plug.L * factor ** 2, new_map, action(new_map),
+                      plug.sigma_min * factor ** 2, plug.tau_argmin * factor)
 
 
 def realize_rotational(rho: RadialFunction, L: float, R: float,

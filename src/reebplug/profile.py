@@ -14,14 +14,17 @@ return time pinched between 1/(1+delta) and 1:
   B5  the argument of gamma' never increases (tolerance 1e-12, since
       it is exactly constant on the line and on the B1 arc).
 
-The designer fixes the two exact outer arcs and searches a small
-family of interpolants in between: an acceleration cubic along the
-line (the B3 drop bound forces f to cross most of [0, 1] before r0)
-and a bridge cubic pair turning the tangent from the line direction
-(1, -1) to the final direction (0, -1).  The family is one stack of
-Hermite data arrays, a row per candidate, decided by one batched sign
-decision per condition; the B3 drop, which every candidate shares, is
-evaluated once, and only the winner becomes a ProfileCurve.
+The designer constructs one curve on the knots 0 < r_arc < r0 < r_m <
+r1 < rho, with no search: the exact arc (r^2, 1 + delta - r^2) up to
+r_arc, an acceleration cubic along the line x + y = 1 + delta up to r0
+(the B3 drop bound forces f to cross most of [0, 1] there), a convex
+bridge cubic that turns the tangent from the line direction (1, -1) to
+the vertical (0, -1) and lands at (1, y_m) below the line, a vertical
+piece f = 1 down to the B1 arc, and the B1 arc itself.  Each piece's
+speeds keep it monotone (Fritsch and Carlson 1980) and the bridge's
+Bezier control polygon convex (Farin, Curves and Surfaces for CAGD), so
+B2, B4, B5 and the return-time bounds hold by construction; the curve is
+still decided by verify_profile before it is returned.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PiecewisePoly, RadialFunction, check_hermite
+from .numerics import PiecewisePoly, RadialFunction
 from .rotorus import DISK_PERIOD, RotForm, contact_check
 
 # the parabolic parameterization is required on this inner fraction of
-# the line segment; the designer always keeps it exact a bit further out
+# the line segment, and the designer keeps it exact up to there
 ARC_WINDOW = 0.25
 
 B5_TOL = 1e-12
@@ -87,7 +90,7 @@ class ProfileCurve:
 
     def gap(self) -> float:
         """Achieved drop g(r0) - g(rho), budgeted at 2 delta by B3."""
-        return _drop(self.g, self.params)
+        return float(self.g(self.params.r0) - self.g(self.params.rho))
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),
@@ -98,10 +101,6 @@ class ProfileCurve:
         return cls(RadialFunction.from_dict(d["f"]),
                    RadialFunction.from_dict(d["g"]),
                    ProfileParams.from_dict(d["params"]))
-
-
-def _drop(g: RadialFunction, p: ProfileParams) -> float:
-    return float(g(p.r0) - g(p.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -155,93 +154,59 @@ def _blocks(stack: PiecewisePoly, k: int) -> list[PiecewisePoly]:
 
 
 class _Parts:
-    """For curves sharing their params: f, g, s = f + g (summed in the
-    data, so exact where they cancel), f', g', s', f'', s'' and the radius
-    r as polynomials on the same pieces, with the curve index of each
-    piece.  They are kept side by side, so restricting them is one call
-    and every check below runs once for all the curves."""
+    """For one curve: f, g, s = f + g (summed in the data, so exact where
+    they cancel), f', g', s', f'', s'' and the radius r as polynomials on
+    the same pieces.  They are kept side by side, so restricting them is
+    one call and every check below runs once for all of them."""
 
     NAMES = ("f", "g", "s", "fp", "gp", "sp", "fpp", "spp", "r")
 
-    def __init__(self, stack: PiecewisePoly, curve: np.ndarray):
+    def __init__(self, stack: PiecewisePoly):
         self.stack = stack
-        self.curve = curve
         for name, part in zip(self.NAMES, _blocks(stack, len(self.NAMES))):
             setattr(self, name, part)
 
     @classmethod
     def of(cls, curve: ProfileCurve) -> "_Parts":
-        """The parts of one curve, whose f and g may sit on different knots."""
+        """The parts of the curve, whose f and g may sit on different knots."""
         f, g, rho = curve.f, curve.g, curve.params.rho
-        if np.array_equal(f.knots, g.knots):
-            return cls.stacked(rho, f.knots[None], f.values[None], f.derivs[None],
-                               g.values[None], g.derivs[None])
         fns = [PiecewisePoly.from_radial(*fn, upto=rho).restrict(0.0, rho)
                for fn in ((f,), (g,), (f, g))]
-        return cls._side_by_side(PiecewisePoly.concat([fn.refine(fns[2].knots) for fn in fns]))
-
-    @classmethod
-    def stacked(cls, rho: float, knots, fv, fd, gv, gd) -> "_Parts":
-        """The parts of the curves whose f and g data (values fv, gv and
-        derivatives fd, gd) sit on the rows of knots, one curve per row."""
-        f, g = (fv, fd), (gv, gd)
-        return cls._side_by_side(PiecewisePoly.concat(
-            [PiecewisePoly.from_hermite(knots, terms, upto=rho) for terms in ([f], [g], [f, g])]
-        ).restrict(0.0, rho))
-
-    @classmethod
-    def _side_by_side(cls, fgs: PiecewisePoly) -> "_Parts":
-        """From f, g and s laid side by side on the same pieces."""
+        fgs = PiecewisePoly.concat([fn.refine(fns[2].knots) for fn in fns])
         d1 = fgs.derivative()
         f, _, _ = _blocks(fgs, 3)
         fpp, _, spp = _blocks(d1.derivative(), 3)
-        curve = np.cumsum(np.r_[True, f.lo[1:] <= f.lo[:-1]]) - 1
-        return cls(PiecewisePoly.concat([fgs, d1, fpp, spp, f.radius()]), curve)
+        return cls(PiecewisePoly.concat([fgs, d1, fpp, spp, f.radius()]))
 
     def on(self, a: float, b: float) -> "_Parts":
-        keep = (self.f.lo < b) & (self.f.hi > a)
-        return _Parts(self.stack.restrict(a, b), self.curve[keep])
+        return _Parts(self.stack.restrict(a, b))
 
 
 def _conditions(p: ProfileParams, parts: _Parts):
-    """(name, tolerance, P, Q, curve) per condition: the quantity P/Q
-    (Q > 0) must stay below the tolerance on every piece, and curve holds
-    the curve index of each piece."""
+    """(name, tolerance, P, Q) per condition: the quantity P/Q (Q > 0)
+    must stay below the tolerance on every piece."""
     line = 1.0 + p.delta
     every, outer = parts, parts.on(p.r1, p.rho)
     inner, arc = parts.on(0.0, p.r0), parts.on(0.0, ARC_WINDOW * p.r0)
     r2 = arc.r * arc.r
     b1 = [outer.f - 1.0, outer.g - (1.0 - outer.r * outer.r) * p.s]
-    b3 = [(inner.s - line, inner), (arc.f - r2, arc), (arc.g - (line - r2), arc)]
-    # terms (P, Q, curve) of each condition, Q None for 1
+    b3 = [inner.s - line, arc.f - r2, arc.g - (line - r2)]
+    # terms (P, Q) of each condition, Q None for 1
     conds = [
-        ("positivity", 1e-12, [(-every.f, None, every.curve), (-every.g, None, every.curve)]),
-        ("B1", ARC_TOL, [(d, None, outer.curve) for q in b1 for d in (q, -q)]),
-        ("B2", 0.0, [(every.gp, every.r, every.curve)]),
-        ("B3", ARC_TOL, [(d, None, at.curve) for q, at in b3 for d in (q, -q)]),
+        ("positivity", 1e-12, [(-every.f, None), (-every.g, None)]),
+        ("B1", ARC_TOL, [(d, None) for q in b1 for d in (q, -q)]),
+        ("B2", 0.0, [(every.gp, every.r)]),
+        ("B3", ARC_TOL, [(d, None) for q in b3 for d in (q, -q)]),
         ("B4", 0.0, [(every.gp * every.f - every.fp * every.g,
-                      (every.f * every.f + every.g * every.g) * every.r, every.curve)]),
+                      (every.f * every.f + every.g * every.g) * every.r)]),
         # g''f' - f''g' = s''f' - f''s': exactly zero on the line, where s' = 0
         ("B5", B5_TOL, [(every.spp * every.fp - every.fpp * every.sp,
-                         every.fp * every.fp + every.gp * every.gp, every.curve)]),
+                         every.fp * every.fp + every.gp * every.gp)]),
     ]
     return [(name, tol,
-             PiecewisePoly.concat([P for P, _, _ in terms]),
-             PiecewisePoly.concat([P.constant(1.0) if Q is None else Q for P, Q, _ in terms]),
-             np.concatenate([c for _, _, c in terms]))
+             PiecewisePoly.concat([P for P, _ in terms]),
+             PiecewisePoly.concat([P.constant(1.0) if Q is None else Q for P, Q in terms]))
             for name, tol, terms in conds]
-
-
-def _holds(conds, k: int, drop_ok: bool) -> np.ndarray:
-    """holds[j, i]: condition i holds for curve j of k, from one batched
-    sign decision of tolerance * Q - P > 0 per condition; B3 also needs
-    drop_ok, the B3 drop bound, which the curves share."""
-    holds = np.ones((k, len(conds)), dtype=bool)
-    for i, (name, tol, P, Q, curve) in enumerate(conds):
-        holds[curve[~np.isnan((Q * tol - P).failures())], i] = False
-        if name == "B3":
-            holds[:, i] &= drop_ok
-    return holds
 
 
 def verify_profile(curve: ProfileCurve) -> ProfileReport:
@@ -258,19 +223,17 @@ def verify_profile(curve: ProfileCurve) -> ProfileReport:
     their margin is the maximum of the quantity divided by r.
     """
     p = curve.params
-    conds = _conditions(p, _Parts.of(curve))
     gap = curve.gap()
-    holds = _holds(conds, 1, gap <= 2.0 * p.delta)[0]
     out = []
-    for (name, tol, P, Q, _), ok in zip(conds, holds):
+    for name, tol, P, Q in _conditions(p, _Parts.of(curve)):
+        ok = (Q * tol - P).positive() is None
         m, r_at = P.extreme(Q, largest=True)
-        ok = bool(ok)
         if name == "B1":
             out.append(ConditionReport(name, ok, m - tol, r_at,
                                        note=f"max deviation {m:.3e}"))
         elif name == "B3":
             out.append(ConditionReport(
-                name, ok, max(m - tol, gap - 2.0 * p.delta), r_at,
+                name, ok and gap <= 2.0 * p.delta, max(m - tol, gap - 2.0 * p.delta), r_at,
                 note=f"drop g(r0)-g(rho) = {gap:.6g} (bound {2.0 * p.delta:.6g})"))
         else:
             out.append(ConditionReport(name, ok, m - (B5_TOL if name == "B5" else 0.0), r_at))
@@ -292,106 +255,65 @@ def _snap(x):
     return np.ldexp(np.rint(np.ldexp(x, 46)), -46)
 
 
-def _family(p: ProfileParams):
-    """The designer's candidates (see design_profile): knots, f values,
-    f', g values and g', one row of 5-knot Hermite data per candidate,
-    checked as RadialFunction checks its data."""
+def design_profile(params: ProfileParams) -> ProfileCurve:
+    """Construct the curve passing all five conditions (see the module).
+
+    The outer arcs are fixed by B1 and B3, and the drop g(r0) - g(rho)
+    is set to 1.9 delta, inside the 2 delta budget, which fixes the point
+    (f0, g0) where the curve leaves the line.  The bridge lands at
+    (1, y_m), y_m = (g(r1) + delta)/2, halfway between the B1 arc's start
+    and the line, and the vertical piece f = 1 runs from there down to
+    g(r1) over h2 = r1 - r_m = min((r1 - r0)/2, (y_m - g(r1))/(s r1)).
+    The speeds are the exit speed df0 at r0 and the landing speed v_m at
+    r_m (h1 = r_m - r0):
+
+      df0 = min(3 (1 - f0)/(2 h1), 0.95 * 3 (f0 - r_arc^2)/(r0 - r_arc)),
+      v_m = min(3 (delta - y_m)/(2 h1), 3 (y_m - g(r1))/h2).
+
+    The bridge's Bezier control points are (f0, g0), the point h1 df0/3
+    along the line (left of x = 1), (1, y_m + h1 v_m/3) (below the line)
+    and (1, y_m): a convex polygon turning clockwise with g strictly
+    decreasing, so the cubic is convex (B5), keeps g' < 0 (B2) and, with
+    f' >= 0 and f, g > 0, turns its argument down (B4).  The acceleration
+    cubic and the vertical piece have end slopes at most three times
+    their secants (for the entry slope 2 r_arc, the "delta too large"
+    refusal sees to that), so they are monotone (B2).  tau then falls
+    from 1 on the line to 1/(1 + delta) on the vertical piece.  The
+    curve is decided by verify_profile, and a ProfileError names the
+    first condition it fails, should it fail one.
+    """
+    p = params
     if not p.feasible():
         raise ProfileError(
             f"infeasible: s (1 - r1^2) = {p.s * (1 - p.r1 ** 2):.6g} "
             f"must be < delta = {p.delta:.6g}")
     line = 1.0 + p.delta
     g_rho = p.s * (1.0 - p.rho ** 2)
-    g0 = g_rho + 1.9 * p.delta
-    f0 = line - g0
+    f0 = line - (g_rho + 1.9 * p.delta)
     if f0 <= (0.45 * p.r0) ** 2:
         raise ProfileError("delta too large: the drop target swallows "
                            "the whole line segment")
-
+    r_arc = ARC_WINDOW * p.r0
+    f_arc, f0 = _snap(r_arc * r_arc), _snap(f0)
     g_r1 = p.s * (1.0 - p.r1 ** 2)
-    sec_f = (1.0 - f0) / (p.r1 - p.r0)
-    sec_g = (g0 - g_r1) / (p.r1 - p.r0)
-    r_arc, df0 = [], []
-    for arc_frac in (0.25, 0.3, 0.35, 0.4):
-        r = arc_frac * p.r0
-        sec_acc = (f0 - r ** 2) / (p.r0 - r)
-        hi = 0.95 * 3.0 * min(sec_f, sec_g, sec_acc)
-        if hi > 0.0:
-            r_arc += [r] * 24
-            df0.append(np.linspace(0.05 * hi, hi, 24))
-    if not r_arc:
-        raise ProfileError("no admissible interior found "
-                           "(first violated condition: feasibility)")
-    r_arc, df0 = np.array(r_arc), np.concatenate(df0)
+    y_m = 0.5 * (g_r1 + p.delta)
+    r_m = p.r1 - min(0.5 * (p.r1 - p.r0), (y_m - g_r1) / (p.s * p.r1))
+    h1, h2 = r_m - p.r0, p.r1 - r_m
+    df0 = min(1.5 * (1.0 - f0) / h1, 0.95 * 3.0 * (f0 - f_arc) / (p.r0 - r_arc))
+    v_m = min(1.5 * (p.delta - y_m) / h1, 3.0 * (y_m - g_r1) / h2)
 
-    # the exact outer arcs plus the two interior cubics
-    f_arc = _snap(r_arc * r_arc)
-    f0 = _snap(f0)
-
-    def rows(*cols):
-        return np.column_stack(np.broadcast_arrays(*cols))
-
-    knots = rows(0.0, r_arc, p.r0, p.r1, p.rho)
-    fv, fd = rows(0.0, f_arc, f0, 1.0, 1.0), rows(0.0, 2.0 * r_arc, df0, 0.0, 0.0)
-    gv = rows(line, line - f_arc, line - f0, g_r1, g_rho)
-    gd = rows(0.0, -2.0 * r_arc, -df0, -2.0 * p.s * p.r1, -2.0 * p.s * p.rho)
-    check_hermite(knots, fv, fd, "even")
-    check_hermite(knots, gv, gd, "even")
-    return knots, fv, fd, gv, gd
-
-
-def _assemble(p: ProfileParams, family, i: int) -> ProfileCurve:
-    """Candidate i of the family as a curve."""
-    knots, fv, fd, gv, gd = family
-    return ProfileCurve(RadialFunction(knots[i], fv[i], fd[i], parity="even"),
-                        RadialFunction(knots[i], gv[i], gd[i], parity="even"), p)
-
-
-def _bridge_margins(p: ProfileParams, parts: _Parts) -> np.ndarray:
-    """Per curve: the smallest clockwise-turning margin (B4 and B5 rates) on [r0, r1]."""
-    b = parts.on(p.r0, p.r1)
-    k = int(parts.curve[-1]) + 1
-    s4 = (b.fp * b.g - b.gp * b.f).extremes(b.curve, b.f * b.f + b.g * b.g)[0]
-    s5 = (b.fpp * b.sp - b.spp * b.fp).extremes(b.curve, b.fp * b.fp + b.gp * b.gp)[0]
-    return np.minimum(s4[:k], s5[:k])
-
-
-def _decide(p: ProfileParams, family):
-    """The conditions of the whole family, its parts and holds[i, j]:
-    condition j holds for candidate i (see verify_profile)."""
-    knots, _, _, gv, gd = family
-    parts = _Parts.stacked(p.rho, *family)
-    conds = _conditions(p, parts)
-    # every candidate shares g's data at r0 and on [r1, rho], so the
-    # first one's B3 drop is the whole family's
-    drop = _drop(RadialFunction(knots[0], gv[0], gd[0], parity="even"), p)
-    return conds, parts, _holds(conds, len(knots), drop <= 2.0 * p.delta)
-
-
-def design_profile(params: ProfileParams) -> ProfileCurve:
-    """Construct a curve passing all five conditions.
-
-    The outer arcs are fixed by B1 and B3.  The interior is a two-knot
-    family: the radius r_arc up to which the curve keeps the exact
-    parabolic parameterization, and the speed df0 at which it leaves
-    the line at r0.  The family (four arc radii times 24 speeds) is
-    built as stacked arrays of 5-knot Hermite data, one row per
-    candidate, and decided at once by the checks of verify_profile;
-    the B3 drop g(r0) - g(rho), which every candidate shares, is
-    evaluated once.  The survivor with the largest minimum turning
-    margin on the bridge wins, and only it becomes a ProfileCurve.  The
-    drop is set to 1.9 delta, inside the 2 delta budget.
-    """
-    p = params
-    family = _family(p)
-    conds, parts, holds = _decide(p, family)
-    passed = holds.all(axis=1)
-    if not passed.any():
-        name = conds[int(np.argmin(holds[0]))][0]
-        raise ProfileError(f"no admissible interior found "
-                           f"(first violated condition: {name})")
-    score = np.where(passed, _bridge_margins(p, parts), -np.inf)
-    return _assemble(p, family, int(np.argmax(score)))
+    knots = np.array([0.0, r_arc, p.r0, r_m, p.r1, p.rho])
+    f = RadialFunction(knots, np.array([0.0, f_arc, f0, 1.0, 1.0, 1.0]),
+                       np.array([0.0, 2.0 * r_arc, df0, 0.0, 0.0, 0.0]), parity="even")
+    g = RadialFunction(knots, np.array([line, line - f_arc, line - f0, y_m, g_r1, g_rho]),
+                       np.array([0.0, -2.0 * r_arc, -df0, -v_m, -2.0 * p.s * p.r1,
+                                 -2.0 * p.s * p.rho]), parity="even")
+    curve = ProfileCurve(f, g, p)
+    bad = verify_profile(curve).first_failure()
+    if bad is not None:
+        raise ProfileError(f"the constructed curve fails "
+                           f"(first violated condition: {bad.name})")
+    return curve
 
 
 # ---------------------------------------------------------------------------

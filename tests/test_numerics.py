@@ -123,9 +123,15 @@ def test_radial_function_parity_validation():
 
 
 def test_radial_function_even_reflection():
-    rf = _quadratic_rf()
-    assert abs(rf(-0.5) - rf(0.5)) < 1e-14
-    assert abs(rf.derivative(-0.5) + rf.derivative(0.5)) < 1e-14
+    # f(-r) = sign f(r), f'(-r) = -sign f'(r), f''(-r) = sign f''(r), with
+    # sign 1 for the even r^2 and -1 for the odd r^3 (f''(-1/2) = -3)
+    r = np.linspace(0.0, 1.0, 9)
+    odd = RadialFunction(r, r ** 3, 3.0 * r * r, parity="odd")
+    for rf, sign in ((_quadratic_rf(), 1.0), (odd, -1.0)):
+        assert abs(rf(-0.5) - sign * rf(0.5)) < 1e-14
+        assert abs(rf.derivative(-0.5) + sign * rf.derivative(0.5)) < 1e-14
+        assert abs(rf.second_derivative(-0.5) - sign * rf.second_derivative(0.5)) < 1e-14
+    assert odd.second_derivative(-0.5) == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_radial_function_constant_extension():

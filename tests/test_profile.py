@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from reebplug import profile
 from reebplug.numerics import RadialFunction
 from reebplug.profile import (ProfileCurve, ProfileError, ProfileParams,
                               design_profile, tau_profile, to_rotform,
@@ -252,6 +251,11 @@ def test_curve_serialization_roundtrip(curve):
 # arc's start value is within 6e-15
 @example(s=0.0018488303433513984, delta=0.20854788573953909, rho=0.4057795911341834,
          u0=0.3, u1=0.4189844474992267)
+# s (1 - r1^2) + (2/3) s r1 (r1 - r0) > delta: a one-cubic bridge pinned by
+# B1's end speed g'(r1) = -2 s r1 turns counterclockwise and fails B5
+@example(s=0.046875, delta=0.03125, rho=1.0, u0=0.25, u1=0.5)
+@example(s=0.048828125, delta=0.044921875, rho=0.5, u0=0.25, u1=0.5)
+@example(s=0.03515625, delta=0.02734375, rho=0.75, u0=0.25, u1=0.625)
 def test_design_property(s, delta, rho, u0, u1):
     r0 = rho * u0
     r1 = r0 + (rho - r0) * u1
@@ -263,78 +267,31 @@ def test_design_property(s, delta, rho, u0, u1):
     assert report.passed
 
 
-# -- reference: the design built and verified one candidate at a time -------
-
-def _reference_assemble(p, r_arc, g0, df0):
-    """One candidate's curve, built from its scalars as a ProfileCurve."""
-    def snap(x):
-        return math.ldexp(round(math.ldexp(x, 46)), -46)
-    line = 1.0 + p.delta
-    f_arc = snap(r_arc * r_arc)
-    f0 = snap(line - g0)
-    knots = np.array([0.0, r_arc, p.r0, p.r1, p.rho])
-    f = RadialFunction(knots, np.array([0.0, f_arc, f0, 1.0, 1.0]),
-                       np.array([0.0, 2.0 * r_arc, df0, 0.0, 0.0]), parity="even")
-    g = RadialFunction(knots,
-                       np.array([line, line - f_arc, line - f0, p.s * (1.0 - p.r1 ** 2),
-                                 p.s * (1.0 - p.rho ** 2)]),
-                       np.array([0.0, -2.0 * r_arc, -df0, -2.0 * p.s * p.r1,
-                                 -2.0 * p.s * p.rho]), parity="even")
-    return ProfileCurve(f, g, p)
-
-
-def reference_design(p):
-    """One curve per candidate, each decided by verify_profile: (curves,
-    reports, winner), the winner an error message where none passes."""
-    g0 = p.s * (1.0 - p.rho ** 2) + 1.9 * p.delta
-    f0 = 1.0 + p.delta - g0
-    sec_f = (1.0 - f0) / (p.r1 - p.r0)
-    sec_g = (g0 - p.s * (1.0 - p.r1 ** 2)) / (p.r1 - p.r0)
-    curves = []
-    for arc_frac in (0.25, 0.3, 0.35, 0.4):
-        r_arc = arc_frac * p.r0
-        hi = 0.95 * 3.0 * min(sec_f, sec_g, (f0 - r_arc ** 2) / (p.r0 - r_arc))
-        if hi > 0.0:
-            curves += [_reference_assemble(p, r_arc, g0, float(df0))
-                       for df0 in np.linspace(0.05 * hi, hi, 24)]
-    reports = [verify_profile(c) for c in curves]
-    if not any(r.passed for r in reports):
-        return curves, reports, ("no admissible interior found (first violated "
-                                 f"condition: {reports[0].first_failure().name})")
-    score = [profile._bridge_margins(p, profile._Parts.of(c))[0] if r.passed else -np.inf
-             for c, r in zip(curves, reports)]
-    return curves, reports, curves[int(np.argmax(score))]
-
-
 def _property_params(s, delta, rho, u0, u1):
     r0 = rho * u0
     return ProfileParams(s, delta, rho, r0, r0 + (rho - r0) * u1)
 
 
 ORACLE_SETS = [ProfileParams(*ps) for ps in PARAM_SETS] + [
-    # the pinned example of test_design_property
+    # the first pinned example of test_design_property
     _property_params(0.0018488303433513984, 0.20854788573953909, 0.4057795911341834,
                      0.3, 0.4189844474992267),
-    # the open "no admissible interior" class: every candidate fails B5
+    # s (1 - r1^2) + (2/3) s r1 (r1 - r0) = 0.0359 > delta: no one-cubic bridge
+    # passes B5 here
     ProfileParams(0.046875, 0.03125, 1.0, 0.25, 0.625),
 ]
 
 
 @pytest.mark.parametrize("p", ORACLE_SETS)
 def test_stacked_family_matches_per_candidate_design(p):
-    family = profile._family(p)
-    _, _, holds = profile._decide(p, family)
-    curves, reports, winner = reference_design(p)
-    assert holds.shape == (len(curves), 6)
-    for i, (c, r) in enumerate(zip(curves, reports)):
-        assert profile._assemble(p, family, i).to_dict() == c.to_dict()
-        assert holds[i].tolist() == [cond.passed for cond in r.conditions], i
-    if isinstance(winner, str):
-        with pytest.raises(ProfileError) as err:
-            design_profile(p)
-        assert str(err.value) == winner
-    else:
-        assert design_profile(p).to_dict() == winner.to_dict()
+    # the constructed curve passes every condition and the tau report
+    c = design_profile(p)
+    report = verify_profile(c)
+    assert report.passed, report.first_failure()
+    assert report.condition("B5").margin <= 0.0
+    _, tau = tau_profile(c)
+    assert tau.passed, tau.to_dict()
+    assert c.gap() == pytest.approx(1.9 * p.delta, rel=1e-12)
 
 
 def test_design_builds_no_curve_per_candidate(monkeypatch):
@@ -345,10 +302,7 @@ def test_design_builds_no_curve_per_candidate(monkeypatch):
         built.append(self)
         check(self)
 
-    p = ProfileParams(*PARAM_SETS[0])
-    assert profile._family(p)[0].shape == (96, 5)
     monkeypatch.setattr(RadialFunction, "__post_init__", counted)
-    design_profile(p)
-    # the winner's f and g, and the first candidate's g for the B3 drop
-    # that the family shares
-    assert len(built) == 3
+    c = design_profile(ProfileParams(*PARAM_SETS[0]))
+    # f and g, and nothing else
+    assert len(built) == 2 and built[0] is c.f and built[1] is c.g
