@@ -25,7 +25,7 @@ from .numerics import NonConvergenceError, integrate_disk
 from .plug import (A3_K_MAX, PlugError, PlugSystem, make_plug, orbit_periods,
                    plug_inputs, realize_rotational, rescale_plug, verify_a, verify_b)
 from .profile import (ProfileCurve, ProfileError, ProfileParams,
-                      design_profile, tau_profile, to_rotform, verify_profile)
+                      design_profile, tau_profile, to_rotform)
 from .plots import orbit_plot, profile_plot, tau_plot
 from .rotorus import (ContactError, RotForm, SectionError, Volume, contact_check,
                       orbit_enumerate, return_system, tmin, volume)
@@ -114,7 +114,7 @@ def _map_orbit_row(orbit, T) -> tuple:
 def _profile_artifacts(curve: ProfileCurve, args, with_curve: bool) -> int:
     out = _out_dir(args)
     kinds = args.format
-    report = verify_profile(curve)
+    report = curve.report
     tau_dict = None
     tau = None
     if report.passed:

@@ -51,25 +51,14 @@ from .numerics import (
     PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
+    gauss_pieces,
     gauss_rule,
     ode_flow,
     resonances,
 )
 
-_GAUSS5 = gauss_rule(5)
 _GAUSS15 = gauss_rule(15)
 SEED_GRID = (24, 16)   # periodic_points' default n_r x n_theta Newton seeds
-
-
-def _gauss_pieces(fn, lo, hi):
-    """int_lo^hi fn for each pair of bounds, by one 5-point Gauss panel apiece.
-
-    Exact (to rounding) when fn is a polynomial of degree <= 9 on every
-    [lo, hi], which covers powers of r times a piecewise cubic's slope.
-    """
-    x, w = _GAUSS5
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return half * (fn(mid[..., None] + half[..., None] * x) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +196,7 @@ class RadialTwist:
             raise ValueError(f"twist profile ends at {end!r}, not in 2 pi Z")
         # sigma at the knots, summed outside-in from sigma(support) = 0
         knots = self.profile.knots
-        pieces = _gauss_pieces(self._dsigma, knots[:-1], knots[1:])
+        pieces = gauss_pieces(self._dsigma, knots[:-1], knots[1:])
         sig = np.zeros(knots.size)
         sig[:-1] = -np.cumsum(pieces[::-1])[::-1]
         object.__setattr__(self, "_sigma_knots", sig)
@@ -225,13 +214,13 @@ class RadialTwist:
         knots = self.profile.knots
         r = np.clip(np.abs(np.asarray(z)), knots[0], knots[-1])
         idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
-        return self._sigma_knots[idx + 1] - _gauss_pieces(self._dsigma, r, knots[idx + 1])
+        return self._sigma_knots[idx + 1] - gauss_pieces(self._dsigma, r, knots[idx + 1])
 
     def calabi(self) -> float:
         """CAL = int 2 pi r sigma dr = -(pi/2) int r^4 rho'(r) dr (by parts), exactly."""
         knots = self.profile.knots
-        pieces = _gauss_pieces(lambda r: r ** 4 * self.profile.derivative(r),
-                               knots[:-1], knots[1:])
+        pieces = gauss_pieces(lambda r: r ** 4 * self.profile.derivative(r),
+                              knots[:-1], knots[1:])
         return float(-0.5 * math.pi * np.sum(pieces))
 
     def evaluate(self, z):

@@ -1,7 +1,12 @@
 """Shared numerical kernels: radial Hermite functions, the piecewise-polynomial
-kernel that decides their signs, the resonance solver behind both orbit
-searches (rotational forms, radial disk maps), quadrature, ODE flows,
-root finding.
+kernel that evaluates, integrates and decides their signs, the resonance
+solver behind both orbit searches (rotational forms, radial disk maps),
+quadrature, ODE flows, root finding.
+
+A RadialFunction is Hermite data (knots, values, slopes, parity) in
+front of one PiecewisePoly: the cubics those data define, built once on
+first use.  Its one evaluator reads the value and both derivatives from
+those pieces, and the decided checks read the very same pieces.
 
 Everything here is deterministic: fixed quadrature ladders, fixed step
 acceptance rules, no randomness.  Adaptive quadrature, the ODE stepper
@@ -93,13 +98,17 @@ def check_hermite(knots, values, derivs, parity: str) -> None:
 class RadialFunction:
     """Piecewise cubic Hermite function of the radius, C1 on its knot range.
 
-    Stores (value, derivative) pairs at strictly increasing knots; each
-    piece is the unique cubic matching the endpoint data, so a cubic
-    polynomial sampled this way is reproduced exactly.  Outside the knot
-    range the function is extended with the boundary value and zero
-    slope (profiles are built so that the extension is C1 where it is
-    actually used).  The parity tag states the smooth extension through
-    r = 0: even forces f'(0) = 0, odd forces f(0) = 0.
+    Stores (value, derivative) pairs at strictly increasing knots, its
+    serialized form; each piece is the unique cubic matching the endpoint
+    data, so a cubic polynomial sampled this way is reproduced exactly.
+    The pieces are the PiecewisePoly these data define, built once on
+    first use and shared with `PiecewisePoly.from_radial`; one evaluator
+    serves the value and both derivatives.  Outside the knot range the
+    function is extended with the boundary value and zero slope (profiles
+    are built so that the extension is C1 where it is actually used).
+    The parity tag states the smooth extension through r = 0: even forces
+    f'(0) = 0, odd forces f(0) = 0; with a first knot at 0, negative
+    radii are folded through it.
     """
 
     knots: np.ndarray
@@ -119,15 +128,6 @@ class RadialFunction:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
-        # per-piece cubic coefficients in the local variable t = (x - x_i)/h:
-        # f = v + (h d) t + c2 t^2 + c3 t^3
-        h = np.diff(knots)
-        dv = np.diff(values)
-        c2 = 3.0 * dv - h * (2.0 * derivs[:-1] + derivs[1:])
-        c3 = -2.0 * dv + h * (derivs[:-1] + derivs[1:])
-        object.__setattr__(self, "_h", h)
-        object.__setattr__(self, "_c2", c2)
-        object.__setattr__(self, "_c3", c3)
 
     # -- construction -------------------------------------------------
 
@@ -145,79 +145,76 @@ class RadialFunction:
         ders[-1] = 0.0
         return cls(r, vals, ders, parity="even")
 
+    @functools.cached_property
+    def _pieces(self) -> "PiecewisePoly":
+        """The Hermite cubics of the knot data, read-only."""
+        p = PiecewisePoly.from_hermite(self.knots[None], [(self.values[None], self.derivs[None])])
+        for a in (p.lo, p.hi, p.coef, p.err):
+            a.setflags(write=False)
+        return p
+
+    @property
+    def _folds(self) -> bool:
+        """Whether negative radii are folded through r = 0."""
+        return self.parity != "none" and self.knots[0] == 0.0
+
     # -- evaluation ---------------------------------------------------
 
-    def _locate(self, x: np.ndarray):
-        idx = np.searchsorted(self.knots, x, side="right") - 1
-        idx = np.clip(idx, 0, self.knots.size - 2)
-        t = (x - self.knots[idx]) / self._h[idx]
-        return idx, t
-
-    def _reflect(self, x: np.ndarray):
-        """Fold negative radii through 0 per parity; returns (|x| clamped, sign)."""
+    def _eval(self, x, order: int):
+        """The order-th derivative (0, 1 or 2; the second one-sided, as a
+        right limit) at x, from the pieces: folded by parity at r < 0 (the
+        sign flips when the parity is odd XOR the order is), flat past
+        the knots."""
         x = np.asarray(x, dtype=float)
-        if self.parity == "none" or self.knots[0] != 0.0:
-            return x, np.ones_like(x)
-        sign = np.where(x < 0.0, -1.0 if self.parity == "odd" else 1.0, 1.0)
-        return np.abs(x), sign
+        scalar = x.ndim == 0
+        x = np.atleast_1d(x)
+        fold = self._folds
+        if fold:
+            flip = (self.parity == "odd") != (order % 2 == 1)
+            sgn = np.where(x < 0.0, -1.0 if flip else 1.0, 1.0)
+            x = np.abs(x)
+        p = self._pieces
+        lo, hi = self.knots[0], self.knots[-1]
+        xc = np.clip(x, lo, hi)
+        idx = np.clip(np.searchsorted(self.knots, xc, side="right") - 1, 0, self.knots.size - 2)
+        start = p.lo[idx]
+        h = p.hi[idx] - start
+        t = (xc - start) / h
+        c = p.coef[idx]
+        below = above = 0.0
+        if order == 0:
+            out = c[:, 0] + c[:, 1] * t + c[:, 2] * t * t + c[:, 3] * t ** 3
+            below, above = self.values[0], self.values[-1]
+        elif order == 1:
+            out = (c[:, 1] + 2.0 * c[:, 2] * t + 3.0 * c[:, 3] * t * t) / h
+        else:
+            out = (2.0 * c[:, 2] + 6.0 * c[:, 3] * t) / h ** 2
+        out = np.where(x < lo, below, np.where(x > hi, above, out))
+        if fold:
+            out = out * sgn
+        return float(out[0]) if scalar else out
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        xr, sgn = self._reflect(x)
-        lo, hi = self.knots[0], self.knots[-1]
-        xc = np.clip(xr, lo, hi)
-        idx, t = self._locate(xc)
-        out = (self.values[idx] + self._h[idx] * self.derivs[idx] * t
-               + self._c2[idx] * t * t + self._c3[idx] * t ** 3)
-        out = np.where(xr < lo, self.values[0], out)
-        out = np.where(xr > hi, self.values[-1], out)
-        out = out * sgn
-        return float(out[0]) if scalar else out
+        return self._eval(x, 0)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        xr, sgn = self._reflect(x)
-        dsgn = sgn if self.parity != "even" else np.where(np.asarray(x) < 0.0, -1.0, 1.0)
-        if self.parity == "odd":
-            dsgn = np.ones_like(sgn)
-        lo, hi = self.knots[0], self.knots[-1]
-        xc = np.clip(xr, lo, hi)
-        idx, t = self._locate(xc)
-        out = (self._h[idx] * self.derivs[idx] + 2.0 * self._c2[idx] * t
-               + 3.0 * self._c3[idx] * t * t) / self._h[idx]
-        out = np.where((xr < lo) | (xr > hi), 0.0, out)
-        out = out * dsgn
-        return float(out[0]) if scalar else out
+        return self._eval(x, 1)
 
     def second_derivative(self, x):
         """One-sided (right-limit) second derivative; pieces are linear in it."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        xr, sgn = self._reflect(x)
-        lo, hi = self.knots[0], self.knots[-1]
-        xc = np.clip(xr, lo, hi)
-        idx, t = self._locate(xc)
-        out = (2.0 * self._c2[idx] + 6.0 * self._c3[idx] * t) / self._h[idx] ** 2
-        out = np.where((xr < lo) | (xr > hi), 0.0, out) * sgn
-        return float(out[0]) if scalar else out
+        return self._eval(x, 2)
 
     # -- calculus -----------------------------------------------------
 
     def integral(self, a: float, b: float) -> float:
-        """Exact integral of the piecewise cubic over [a, b] (within knot range)."""
+        """Exact integral over [a, b] of the function as evaluated: the
+        pieces, the flat extension, and the parity fold below r = 0."""
         if b < a:
             return -self.integral(b, a)
-
-        def anti(idx: int, t: float) -> float:
-            h = self._h[idx]
-            return h * (self.values[idx] * t + 0.5 * h * self.derivs[idx] * t * t
-                        + self._c2[idx] * t ** 3 / 3.0 + 0.25 * self._c3[idx] * t ** 4)
-
+        if a < 0.0 and self._folds:
+            # f(-r) = sign f(r) on [a, min(b, 0)]
+            sign = -1.0 if self.parity == "odd" else 1.0
+            return sign * self.integral(-min(b, 0.0), -a) + self.integral(0.0, max(b, 0.0))
         lo, hi = self.knots[0], self.knots[-1]
         total = 0.0
         if a < lo:
@@ -226,17 +223,7 @@ class RadialFunction:
             total += self.values[-1] * (b - max(a, hi))
         aa, bb = max(a, lo), min(b, hi)
         if bb > aa:
-            ia = int(np.clip(np.searchsorted(self.knots, aa, side="right") - 1, 0, self.knots.size - 2))
-            ib = int(np.clip(np.searchsorted(self.knots, bb, side="right") - 1, 0, self.knots.size - 2))
-            ta = (aa - self.knots[ia]) / self._h[ia]
-            tb = (bb - self.knots[ib]) / self._h[ib]
-            if ia == ib:
-                total += anti(ia, tb) - anti(ia, ta)
-            else:
-                total += anti(ia, 1.0) - anti(ia, ta)
-                for i in range(ia + 1, ib):
-                    total += anti(i, 1.0)
-                total += anti(ib, tb)
+            total += self._pieces.restrict(aa, bb).integral()
         return total
 
     def scaled(self, factor: float, arg_scale: float = 1.0) -> "RadialFunction":
@@ -504,9 +491,12 @@ class PiecewisePoly:
         Functions on the first one's knots are summed in their data (see
         `from_hermite`), so f + g keeps an exact zero where the data
         cancel; others are added as polynomials.  `upto` extends the last
-        value flat beyond the last knot, as RadialFunction does.
+        value flat beyond the last knot, as RadialFunction does.  One
+        function whose knots reach `upto` gives its own read-only pieces.
         """
         x = fns[0].knots
+        if len(fns) == 1 and (upto is None or x[-1] >= upto):
+            return fns[0]._pieces
         same = [np.array_equal(fn.knots, x) for fn in fns]
         p = cls.from_hermite(x[None], [(fn.values[None], fn.derivs[None])
                                        for fn, s in zip(fns, same) if s], upto)
@@ -919,13 +909,32 @@ def resonances(a: PiecewisePoly, b: PiecewisePoly, blocks):
             tuple(np.concatenate(x) for x in zip(*roots)))
 
 
+@functools.lru_cache(maxsize=None)
 def gauss_rule(n: int):
-    """Gauss-Legendre nodes/weights on [-1, 1] (exact for degree 2n-1)."""
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes/weights on [-1, 1] (exact for degree 2n-1), read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def gauss_pieces(fn, lo, hi, npts: int = 5):
+    """int_lo^hi fn for each pair of bounds, by one npts-point Gauss panel
+    apiece; fn sees the nodes as one flat array.
+
+    Exact (to rounding) when fn is a polynomial of degree <= 2*npts - 1 on
+    every [lo, hi]; five points cover powers of r times a piecewise
+    cubic's slope.
+    """
+    x, w = gauss_rule(npts)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    nodes = mid[..., None] + half[..., None] * x
+    return half * (np.reshape(fn(nodes.ravel()), nodes.shape) @ w)
 
 
 def gauss_piecewise(fn, breakpoints, a: float, b: float, npts: int = 5) -> float:
-    """Composite Gauss quadrature of fn over [a, b], split at breakpoints.
+    """Composite Gauss quadrature of fn over [a, b], split at breakpoints:
+    the sum of `gauss_pieces` over the split intervals.
 
     Exact (to rounding) when fn is a polynomial of degree <= 2*npts - 1 on
     each subinterval; that covers products of piecewise cubics.
@@ -935,49 +944,30 @@ def gauss_piecewise(fn, breakpoints, a: float, b: float, npts: int = 5) -> float
     pts = np.asarray(breakpoints, dtype=float)
     pts = pts[(pts > a) & (pts < b)]
     edges = np.concatenate([[a], np.unique(pts), [b]])
-    x, w = gauss_rule(npts)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(fn(nodes), dtype=float).reshape(mid.size, x.size)
-    return float(np.sum(half * (vals @ w)))
+    return float(np.sum(gauss_pieces(fn, edges[:-1], edges[1:], npts)))
 
 
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
 
-def integrate_1d(fn, a: float, b: float, spec: QuadratureSpec | None = None,
-                 points=None) -> QuadResult:
-    """Adaptive quadrature of fn over [a, b] with an error estimate.
-
-    `points` lists known interior breakpoints (kinks of piecewise data) so
-    the subdivision lands on them.
-    """
+def integrate_1d(fn, a: float, b: float, spec: QuadratureSpec | None = None) -> QuadResult:
+    """Adaptive quadrature of fn over [a, b] with an error estimate."""
     from scipy.integrate import IntegrationWarning, quad
 
     spec = spec or DEFAULT_QUAD
     if a == b:
         return QuadResult(0.0, 0.0, True)
-    pts = None
-    if points is not None:
-        arr = np.asarray(points, dtype=float)
-        lo, hi = min(a, b), max(a, b)
-        arr = arr[(arr > lo) & (arr < hi)]
-        pts = np.unique(arr) if arr.size else None
-    limit = _QUAD_LIMIT
-    if pts is not None:
-        limit = max(limit, 2 * pts.size + 50)
     converged = True
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
             value, err = quad(fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                              limit=limit, points=pts)
+                              limit=_QUAD_LIMIT)
         except IntegrationWarning:
             warnings.simplefilter("ignore", IntegrationWarning)
             value, err = quad(fn, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                              limit=limit, points=pts)
+                              limit=_QUAD_LIMIT)
             converged = False
     if converged and err > max(spec.abs_tol, abs(value) * spec.rel_tol) * 10.0:
         converged = False

@@ -30,6 +30,7 @@ still decided by verify_profile before it is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,11 @@ class ProfileCurve:
     def gap(self) -> float:
         """Achieved drop g(r0) - g(rho), budgeted at 2 delta by B3."""
         return float(self.g(self.params.r0) - self.g(self.params.rho))
+
+    @cached_property
+    def report(self) -> ProfileReport:
+        """verify_profile of this curve, decided once."""
+        return verify_profile(self)
 
     def to_dict(self) -> dict:
         return {"params": self.params.to_dict(),
@@ -279,8 +285,9 @@ def design_profile(params: ProfileParams) -> ProfileCurve:
     their secants (for the entry slope 2 r_arc, the "delta too large"
     refusal sees to that), so they are monotone (B2).  tau then falls
     from 1 on the line to 1/(1 + delta) on the vertical piece.  The
-    curve is decided by verify_profile, and a ProfileError names the
-    first condition it fails, should it fail one.
+    curve is decided by verify_profile (the report stays on the curve as
+    `curve.report`), and a ProfileError names the first condition it
+    fails, should it fail one.
     """
     p = params
     if not p.feasible():
@@ -309,7 +316,7 @@ def design_profile(params: ProfileParams) -> ProfileCurve:
                        np.array([0.0, -2.0 * r_arc, -df0, -v_m, -2.0 * p.s * p.r1,
                                  -2.0 * p.s * p.rho]), parity="even")
     curve = ProfileCurve(f, g, p)
-    bad = verify_profile(curve).first_failure()
+    bad = curve.report.first_failure()
     if bad is not None:
         raise ProfileError(f"the constructed curve fails "
                            f"(first violated condition: {bad.name})")

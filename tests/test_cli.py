@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from reebplug import cli as cli_module
 from reebplug import plug as plug_module
+from reebplug import profile as profile_module
 from reebplug import rotorus
 from reebplug.cli import build_parser, main
 from reebplug.diskmap import BumpHarmonic, DiskMap, HamiltonianStep, RadialTwist
@@ -42,8 +44,15 @@ def write_assembly(path: Path, **over) -> Path:
     return path
 
 
-def test_profile_design_pass(tmp_path, capsys):
+def test_profile_design_pass(tmp_path, capsys, monkeypatch):
+    calls = []
+    decide = profile_module.verify_profile
+    # count the calls made under either module's name for the verifier
+    for owner in (profile_module, cli_module):
+        monkeypatch.setattr(owner, "verify_profile",
+                            lambda curve: calls.append(curve) or decide(curve), raising=False)
     assert run(DESIGN, tmp_path) == 0
+    assert len(calls) == 1   # the design's report is the one written
     out = capsys.readouterr().out
     assert "profile: pass" in out
     for name in ("curve.json", "profile_report.json", "profile_arc.svg",

@@ -71,7 +71,7 @@ def test_gauss_piecewise_exact_for_products():
                         np.array([0.0, -1.2, 0.0]), parity="even")
     # integrand rf(r)^2 is degree 6 on each piece; 5-point Gauss is exact
     val = gauss_piecewise(lambda r: rf(r) ** 2, rf.knots, 0.0, 1.0, npts=5)
-    ref = integrate_1d(lambda r: rf(float(r)) ** 2, 0.0, 1.0, points=rf.knots).value
+    ref = integrate_1d(lambda r: rf(float(r)) ** 2, 0.0, 1.0).value
     assert abs(val - ref) < 1e-12
 
 
@@ -88,6 +88,14 @@ def test_radial_function_reproduces_knot_data():
     rf = _quadratic_rf()
     assert np.allclose(rf(rf.knots), rf.values, rtol=0, atol=0)
     assert np.allclose(rf.derivative(rf.knots), rf.derivs, rtol=0, atol=0)
+    # the decided checks read the same pieces, which nobody can change
+    pieces = PiecewisePoly.from_radial(rf)
+    assert PiecewisePoly.from_radial(rf, upto=1.0) is pieces
+    assert np.array_equal(pieces.knots, rf.knots)
+    with pytest.raises(ValueError):
+        pieces.coef[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pieces.err[0, 0] = 1.0
 
 
 def test_radial_function_cubic_exact():
@@ -144,6 +152,11 @@ def test_radial_function_integral_exact():
     rf = _quadratic_rf()
     assert abs(rf.integral(0.0, 1.0) - 1.0 / 3.0) < 1e-14
     assert abs(rf.integral(0.2, 0.9) - (0.9 ** 3 - 0.2 ** 3) / 3.0) < 1e-14
+    # below r = 0 the integral follows the parity fold of the evaluation
+    r = np.linspace(0.0, 1.0, 9)
+    odd = RadialFunction(r, r ** 3, 3.0 * r * r, parity="odd")
+    assert abs(rf.integral(-0.5, 0.9) - (0.9 ** 3 + 0.5 ** 3) / 3.0) < 1e-14
+    assert abs(odd.integral(-0.5, 0.9) - (0.9 ** 4 - 0.5 ** 4) / 4.0) < 1e-14
 
 
 def test_radial_function_add_and_scale():
