@@ -30,6 +30,7 @@ from .numerics import PiecewisePoly, RadialFunction, gauss_piecewise, integrate_
 from .rotorus import RotForm, contact_check
 
 B3_TOL = 1e-12
+_U = 2.0 ** -53  # unit roundoff of binary64
 A3_K_MAX = 8   # default a3 search depth: periods 1..8
 
 
@@ -314,38 +315,77 @@ def rescale_plug(plug: PlugSystem, factor: float) -> PlugSystem:
                       plug.sigma_min * factor ** 2, plug.tau_argmin * factor)
 
 
+def _split_counts(rho: RadialFunction, size: np.ndarray) -> np.ndarray:
+    """Equal parts per piece of rho at which the realized d' is best.
+
+    On each piece d is a quintic with L d'''' = -(rho''' r + 3 rho''),
+    which is linear there, so its largest size M4 sits at an end of the
+    piece.  Cubic Hermite data on a step h miss d' by at most
+    (sqrt 3/216) M4 h^3, while the rounding of d's values (u size / L,
+    with `size` the size of L d's summands at rho's knots) puts
+    3 u size / (L h) of noise into it.  L cancels where the two balance,
+    at h* = (374 u size / (L M4))^(1/4), and each piece is split into the
+    least power of two of parts no wider than that; a piece where d''''
+    vanishes stays whole.
+    """
+    p = PiecewisePoly.from_radial(rho)
+    h = p.hi - p.lo
+    c2, c3 = p.coef[:, 2], p.coef[:, 3]
+    lm4 = np.maximum(np.abs(6.0 * c3 * p.lo / h ** 3 + 6.0 * c2 / h ** 2),
+                     np.abs(6.0 * c3 * p.hi / h ** 3 + (6.0 * c2 + 18.0 * c3) / h ** 2))
+    with np.errstate(divide="ignore"):
+        h_star = (374.0 * _U * np.maximum(size[:-1], size[1:]) / lm4) ** 0.25
+    return (2.0 ** np.ceil(np.log2(np.maximum(h / h_star, 1.0)))).astype(int)
+
+
 def realize_rotational(rho: RadialFunction, L: float, R: float,
-                       n_knots: int = 8193) -> RotForm:
+                       n_knots: int | None = None) -> RotForm:
     """Closed-form rotational form whose return system is (rho, L + sigma).
 
     Coefficients c = r^2/2 and d = (L + sigma - rho r^2/2)/L, where
     sigma is the lam0-action of the twist with profile rho.  Then
     d' = -rho r / L exactly, the core-angle return system has time
     L + sigma and shift rho, and W L = r tau identically; the form
-    is lam0 + ds wherever rho vanishes.
+    is lam0 + ds wherever rho vanishes.  sigma and the refusal of
+    tau <= 0 come from `make_plug`; W > 0 is decided on the way, and the
+    form keeps that decision and its margin for later readers.
 
-    The return time and the wedge identity are reproduced to 1e-10
-    across the whole disk.  The shift is a ratio d'/r: close to the
-    core it is reconstructed from coefficient data with an O(h^2)
-    error driven by the quartic Taylor term of d (about 1e-7 at the
-    default knot count), tightening to 1e-10 for r beyond about two
-    percent of the radius.  sigma and the refusal of tau <= 0 come from
-    `make_plug`; W > 0 is decided on the way, and the form keeps that
-    decision and its margin for later readers.
+    The knots are rho's pieces, each split into equal parts just fine
+    enough that the cubic Hermite error in d' drops to the rounding
+    noise of d's values (`_split_counts`); finer knots would only add
+    noise.  The flat tail [support, R] is one piece.  At rho's own knots
+    rho is read from its data, not evaluated, so rho(support) is exactly
+    0 and the tail exactly flat.  `n_knots`, when given, merges a uniform
+    grid of that many points into this mesh, less the grid points within
+    1e-6 grid steps of a mesh knot (sliver pieces whose Hermite slopes
+    would be rounding noise).
+
+    Measured on 20 011 radii against the closed forms: for bump(3.5, 0.04)
+    at R = 0.05 (1 776 knots) tau and W L - r tau are off by at most
+    6e-13, and the shift by 2.3e-8 beyond 2 % of R and 1.1e-6 at the
+    core, where it is the ratio d'/r of two vanishing quantities; for
+    bump(-4, 1) at R = 1 (7 689 knots) tau and W are within 2e-12, and
+    the shift within 1.2e-10 beyond 2 % of R and 9e-8 overall.
     """
     if L <= 0.0 or R <= 0.0:
         raise PlugError("need L > 0 and R > 0")
     if rho.knots[-1] > R + 1e-12:
         raise PlugError("twist support exceeds the plug radius")
     sigma = make_plug(DiskMap(R, (RadialTwist(rho),)), L).sigma
-    # grid knots that the profile's knots duplicate up to rounding would
-    # leave sub-ulp pieces, whose Hermite slopes are rounding noise
-    grid = np.linspace(0.0, R, n_knots)
-    j = np.clip(np.searchsorted(rho.knots, grid), 1, rho.knots.size - 1)
-    near = np.minimum(np.abs(grid - rho.knots[j - 1]), np.abs(grid - rho.knots[j]))
-    knots = np.union1d(grid[near > 1e-6 * R / (n_knots - 1)], rho.knots)
+    parts = _split_counts(rho, L + np.abs(sigma.radial_profile(rho.knots))
+                          + 0.5 * np.abs(rho.values) * rho.knots ** 2)
+    piece = np.repeat(np.arange(parts.size), parts)
+    step = np.arange(piece.size) - np.repeat(np.cumsum(parts) - parts, parts)
+    lo, hi = rho.knots[:-1][piece], rho.knots[1:][piece]
+    knots = np.union1d(lo + (hi - lo) * (step / parts[piece]), [0.0, rho.knots[-1], R])
+    if n_knots is not None:
+        grid = np.linspace(0.0, R, n_knots)
+        j = np.clip(np.searchsorted(knots, grid), 1, knots.size - 1)
+        near = np.minimum(np.abs(grid - knots[j - 1]), np.abs(grid - knots[j]))
+        knots = np.union1d(grid[near > 1e-6 * R / (n_knots - 1)], knots)
     c = RadialFunction(knots, 0.5 * knots ** 2, knots, parity="even")
     rho_k = rho(knots)
+    rho_k[np.searchsorted(knots, rho.knots)] = rho.values
     d_vals = (L + sigma.radial_profile(knots) - 0.5 * rho_k * knots ** 2) / L
     d_ders = -rho_k * knots / L
     d = RadialFunction(knots, d_vals, d_ders, parity="even")

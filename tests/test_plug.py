@@ -183,24 +183,49 @@ def test_realize_zero_twist_is_trivial_form():
     assert np.max(np.abs(sys.shift(rr))) < 1e-12
 
 
-def test_realize_twist_reproduces_return_system():
-    plug = make_plug(twist_map(4.0), 1.0)
-    rho = plug.map.combined_profile()
-    form = realize_rotational(rho, L=1.0, R=1.0)
+# (map, R, bounds on |tau error|, |W L - r tau|, |shift error| for
+# r >= 2 % R, |shift error| overall)
+REALIZE_CASES = {
+    "unit_disk": (RadialFunction.bump(-4.0, 1.0), 1.0, (1e-10, 1e-10, 1e-10, 5e-7)),
+    "bench": (RadialFunction.bump(3.5, 0.04), 0.05, (1e-11, 1e-11, 1e-7, 1e-5)),  # twist_plug's map
+}
+
+
+@pytest.mark.parametrize("case", sorted(REALIZE_CASES))
+def test_realize_twist_reproduces_return_system(case):
+    rho, R, (tol_tau, tol_w, tol_body, tol_shift) = REALIZE_CASES[case]
+    plug = make_plug(DiskMap(R, (RadialTwist(rho),)), 1.0)
+    form = realize_rotational(rho, L=1.0, R=R)
     sys = return_system(form, "core-angle")
-    # probe off the knot grid too
-    rr = np.linspace(0.0, 1.0, 2311)
+    # probe off the knots too
+    rr = np.linspace(0.0, R, 2311)
     tau_true = 1.0 + plug.sigma.radial_profile(rr)
-    assert np.max(np.abs(sys.tau(rr) - tau_true)) < 1e-10
+    assert np.max(np.abs(sys.tau(rr) - tau_true)) < tol_tau
     # W L = r tau pointwise
     W = form.wronskian(rr)
-    assert np.max(np.abs(W * 1.0 - rr * tau_true)) < 1e-10
+    assert np.max(np.abs(W * 1.0 - rr * tau_true)) < tol_w
     # shift is the ratio -L d'/r: pointwise away from the core, at the
-    # core only to the O(h^2) reconstruction bias of d'' (about 9e-8
-    # at the default knot count)
-    body = rr[rr >= 0.02]
-    assert np.max(np.abs(sys.shift(body) - rho(body))) < 1e-10
-    assert np.max(np.abs(sys.shift(rr) - rho(rr))) < 5e-7
+    # core only to the error of d' from cubic Hermite data, divided by a
+    # vanishing r
+    body = rr[rr >= 0.02 * R]
+    assert np.max(np.abs(sys.shift(body) - rho(body))) < tol_body
+    assert np.max(np.abs(sys.shift(rr) - rho(rr))) < tol_shift
+
+
+def test_realize_mesh_follows_the_profile():
+    # each of the 256 profile pieces is split only as far as the rounding
+    # of d's values allows (1 776 knots)
+    form = realize_rotational(RadialFunction.bump(3.5, 0.04), L=1.0, R=0.05)
+    assert form.d.knots.size <= 2048
+
+
+def test_realize_flat_tail_is_one_band():
+    # rho is read from its data at the support end, so rho(0.04) = 0 and
+    # the (0,1) identity band is exactly [support, R]
+    form = realize_rotational(RadialFunction.bump(3.5, 0.04), L=1.0, R=0.05)
+    bands = [rec for rec in orbit_enumerate(form, t_max=3.0, q_max=3)
+             if (rec.p, rec.q) == (0, 1) and rec.is_band()]
+    assert [(rec.r_lo, rec.r_hi) for rec in bands] == [(0.04, 0.05)]
 
 
 def test_realize_volume_three_ways():
@@ -213,8 +238,7 @@ def test_realize_volume_three_ways():
 
 def test_realize_rejects_nonpositive_tau():
     with pytest.raises(PlugError, match="tau"):
-        realize_rotational(RadialFunction.bump(-16.0, 1.0), L=1.0, R=1.0,
-                           n_knots=513)
+        realize_rotational(RadialFunction.bump(-16.0, 1.0), L=1.0, R=1.0)
 
 
 def test_realize_resonant_torus_dictionary():
