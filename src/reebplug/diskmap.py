@@ -31,19 +31,24 @@ independent check of sigma (`ActionField.path_independence_check`).
 
 Hamiltonians and the potentials u of lam0 + du are sums of bump-harmonic
 terms, evaluated only by `BumpHarmonic.jet` (H, gradient and Hessian from
-shared powers); a flow's right-hand side makes one jet call per term.
+shared powers); a flow's right-hand side makes one jet call per term and
+carries the point and the columns of its Jacobian as complex numbers.
 
 Periodic points come one record per family.  For a radial map they are
 closed forms too: the origin, the circles where k rho = 2 pi p and the
 bands where that holds identically, both from `numerics.resonances`,
-the solver the rotational orbit search also uses; other maps run a
-seeded Newton search.
+the solver the rotational orbit search also uses.  Other maps run a
+seeded Newton search inside the identity collar, the annulus near the
+boundary where a bound on each primitive's displacement proves
+|phi^k(z) - z| below the acceptance tolerance; that collar is one
+record, at |z| = support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -90,15 +95,20 @@ class BumpHarmonic:
             raise ValueError("m = 0 sine term vanishes identically")
 
     def jet(self, z, order: int = 2) -> list:
-        """[H, H_x + i H_y, (H_xx, H_xy, H_yy)] at z, truncated after `order`.
+        """[H, g, (P, Q)] at z, truncated after `order`.
+
+        g = H_x + i H_y is the gradient, and (P, Q) is the Hessian in
+        complex form: the real half-Laplacian P = (H_xx + H_yy) / 2 and
+        Q = (H_xx - H_yy) / 2 + i H_xy, so that the Hessian applied to a
+        complex vector v is P v + Q conj(v) (H_xx = P + Re Q, H_xy =
+        Im Q, H_yy = P - Re Q).
 
         With s = max(1 - |z|^2/a^2, 0) and w = conj(z)/a, each formed
         once, the term is B T with B = coef s^p and T = Re w^m (cos) or
         -Im w^m (sin); s^(p - order) .. s^p and w^(m - order) .. w^m come
         from one power and then products, and only the orders asked for
         are formed.  In u = |z|^2 the gradient is 2 B' T z + B dT, where
-        dT = T_x + i T_y is w^(m-1) m/a (times i for sin), and the Hessian
-        is (P + Re Q, Im Q, P - Re Q) with half-Laplacian P = 2 u B'' T +
+        dT = T_x + i T_y is w^(m-1) m/a (times i for sin), P = 2 u B'' T +
         2 (m + 1) B' T (T is harmonic and x T_x + y T_y = m T) and Q =
         2 B'' T z^2 + 2 B' z dT + B (T_xx + i T_xy).  Outside the support
         s = 0 zeroes every order, since power >= 3.
@@ -131,8 +141,7 @@ class BumpHarmonic:
             Q = Q + D1 * (z * dT)
         if m >= 2:
             Q = Q + B * ((unit * m * (m - 1) / a ** 2) * w[-3])
-        Qr = Q.real
-        out.append((P + Qr, Q.imag, P - Qr))
+        out.append((P, Q))
         return out
 
     def rescaled(self, factor: float) -> "BumpHarmonic":
@@ -278,42 +287,41 @@ class HamiltonianStep:
     def _flow(self, z0: np.ndarray, with_jac: bool):
         """Integrate points with their variational 2x2 blocks, or with their action.
 
-        Returns (phi(z0), D phi(z0)) when with_jac, else (phi(z0), sigma(z0))
-        with sigma' = H + lam0(X_H) = H - (x H_x + y H_y) / 2 along the flow.
+        Returns (phi(z0), D phi(z0)) when with_jac, else (phi(z0), sigma(z0)).
+        ode_flow's float state holds z, viewed in place as complex, then
+        either the columns v = d phi/dx, d phi/dy of D phi, also complex,
+        or sigma.  With g = H_x + i H_y and the jet's Hessian parts (P, Q),
+        z' = -i g, v' = -i (P v + Q conj(v)), and sigma' = H + lam0(X_H) =
+        H - (x H_x + y H_y) / 2.
         """
         n = z0.size
+        y0 = np.zeros(6 * n if with_jac else 3 * n)
+        y0[:2 * n].view(complex)[:] = z0
         if with_jac:
-            extra = [np.ones(n), np.zeros(n), np.zeros(n), np.ones(n)]
-        else:
-            extra = [np.zeros(n)]
-        y0 = np.concatenate([np.real(z0), np.imag(z0), *extra])
+            v0 = y0[2 * n:].view(complex).reshape(2, n)
+            v0[0], v0[1] = 1.0, 1j
 
         def rhs(t, y):
-            x, yy = y[:n], y[n:2 * n]
-            z = x + 1j * yy
+            z = y[:2 * n].view(complex)
             jet = _terms_jet(self.terms, z, 2 if with_jac else 1)
             g = jet[1]
             out = np.empty_like(y)
-            out[:n] = g.imag           # x' = H_y
-            out[n:2 * n] = -g.real     # y' = -H_x
+            out[:2 * n].view(complex)[:] = -1j * g
             if with_jac:
-                hxx, hxy, hyy = jet[2]
-                # dJ/dt = A J with A = [[H_xy, H_yy], [-H_xx, -H_xy]], a row
-                # (j00, j01) or (j10, j11) of J at a time
-                J, dJ = y[2 * n:].reshape(2, 2, n), out[2 * n:].reshape(2, 2, n)
-                dJ[0] = hxy * J[0] + hyy * J[1]
-                dJ[1] = -(hxx * J[0] + hxy * J[1])
+                P, Q = jet[2]
+                v = y[2 * n:].view(complex).reshape(2, n)
+                out[2 * n:].view(complex).reshape(2, n)[:] = -1j * (P * v + Q * v.conj())
             else:
-                out[2 * n:] = jet[0] - 0.5 * (x * g.real + yy * g.imag)
+                out[2 * n:] = jet[0] - 0.5 * (z.real * g.real + z.imag * g.imag)
             return out
 
         y = ode_flow(rhs, y0, self.time).state
-        z = y[:n] + 1j * y[n:2 * n]
+        z = y[:2 * n].view(complex)
         if not with_jac:
             return z, y[2 * n:]
+        v = y[2 * n:].view(complex).reshape(2, n)
         J = np.empty((n, 2, 2))
-        J[:, 0, 0], J[:, 0, 1] = y[2 * n:3 * n], y[3 * n:4 * n]
-        J[:, 1, 0], J[:, 1, 1] = y[4 * n:5 * n], y[5 * n:6 * n]
+        J[:, 0, :], J[:, 1, :] = v.real.T, v.imag.T
         return z, J
 
     def evaluate(self, z):
@@ -435,13 +443,16 @@ class DiskMap:
         return cur, J
 
     def iterate_differential(self, z, k: int):
-        """(phi^k(z), D(phi^k)(z)) via the chain rule along the orbit."""
+        """(orbit, D(phi^k)(z)) with orbit[..., j] = phi^j(z) for j = 0..k,
+        the Jacobian chained along the orbit."""
         cur = np.asarray(z, dtype=complex)
         J = np.broadcast_to(np.eye(2), cur.shape + (2, 2)).copy()
+        orbit = [cur]
         for _ in range(k):
             cur, Jstep = self.evaluate_with_differential(cur)
             J = Jstep @ J
-        return cur, J
+            orbit.append(cur)
+        return np.stack(orbit, axis=-1), J
 
     def to_dict(self) -> dict:
         return {"radius": self.radius,
@@ -652,7 +663,8 @@ class PeriodicOrbit:
     """One periodic family: its first point, minimal period k, the lam0
     action summed along the orbit of that point, the orbit, the closure
     residual |phi^k(z) - z|, and the radius range [r_lo, r_hi] it covers
-    (a band of a radial map; r_lo = r_hi = |point| for a point or circle)."""
+    (a band of a radial map, or the identity collar [r_c(1), R] of another
+    map; r_lo = r_hi = |point| for a point or circle)."""
 
     point: complex
     period: int
@@ -718,17 +730,109 @@ def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
                                                   fam_lo, fam_hi)]
 
 
+_ACCEPT_REL = 1e-9   # |phi^k(z) - z| below this times max(1, R) accepts a seed
+_LOCATE = 1e-6       # how closely a Newton point is located: settle step, orbit match
+
+
+def _step_drift(step: HamiltonianStep, r: float) -> float:
+    """A bound on |time| |X_H(w)| over |w| >= r, so on |phi(w) - w| for
+    every w whose flow line stays in |w| >= r.
+
+    Per term, |grad(B T)| <= |grad B| |T| + B |grad T| with |T| <=
+    (|w|/a)^m and |grad T| = m |w|^(m-1) / a^m, so on |w| <= a it is at
+    most |coef| s^(p-1) (2 p + m s) / a, s = 1 - |w|^2/a^2, which falls
+    as |w| grows (and is 0 past the support).
+    """
+    total = 0.0
+    for t in step.terms:
+        s = max(1.0 - (r / t.support) ** 2, 0.0)
+        total += abs(t.coef) * s ** (t.power - 1) * (2 * t.power + t.m * s) / t.support
+    return abs(step.time) * total
+
+
+def _twist_drift(twist: RadialTwist, radius: float):
+    """r -> a bound on |twist(w) - w| over r <= |w| <= radius.
+
+    |w exp(i rho) - w| <= |w| |rho - 2 pi n|, n the profile's end turn,
+    and |rho - 2 pi n| over [r, S] is bounded by the Bernstein
+    coefficients of its pieces (the one holding r cut to [r, hi]) plus
+    their error bounds; past S it is |rho(S) - 2 pi n|, the last
+    coefficient.
+    """
+    end = float(twist.profile.values[-1])
+    dev = PiecewisePoly.from_radial(twist.profile) + (-2.0 * math.pi * round(end / (2.0 * math.pi)))
+
+    B, E = dev.bernstein()
+    piece = np.max(np.abs(B) + E, axis=1)
+    # tail[i]: the bound over pieces i and later; tail[-1] over [S, radius]
+    tail = np.append(np.maximum.accumulate(piece[::-1])[::-1], abs(B[-1, -1]) + E[-1, -1])
+
+    def drift(r: float) -> float:
+        i = int(np.searchsorted(dev.hi, r, side="right"))
+        if i == dev.hi.size:
+            return radius * float(tail[-1])
+        Bi, Ei = dev.restrict(r, dev.hi[i]).bernstein()
+        return radius * max(float(tail[i + 1]), float(np.max(np.abs(Bi) + Ei)))
+    return drift
+
+
+def _collar_radii(phi: DiskMap, k_max: int, tol: float) -> list[float]:
+    """r_c(k) for k = 1..k_max: the least r (to within tol / 1000) with
+    k D(r - tol) <= tol / 2, or inf where there is none, D being the sum
+    of the primitives' displacement bounds over |w| >= r.
+
+    On |z| >= r_c(k), then, |phi^k(z) - z| <= tol / 2 < tol: as long as
+    a point has moved by less than tol in all, it lies in |w| >= r_c -
+    tol, where each primitive (a step along its whole flow line) moves
+    it by at most D(r_c - tol), so k applications of phi move it by at
+    most tol / 2 and it never leaves.  D is nonincreasing in r, so r_c(k)
+    is found by bisection, and it is nondecreasing in k.
+    """
+    R = phi.radius
+    drifts = [_twist_drift(p, R) if isinstance(p, RadialTwist) else partial(_step_drift, p)
+              for p in phi.primitives]
+
+    def excess(r: float, k: int) -> float:
+        rr = max(r - tol, 0.0)
+        return k * sum(d(rr) for d in drifts) - 0.5 * tol
+
+    out, lo = [], 0.0
+    for k in range(1, k_max + 1):
+        if excess(R, k) > 0.0:
+            out.extend([math.inf] * (k_max + 1 - k))
+            break
+        if excess(0.0, k) <= 0.0:
+            out.append(0.0)
+            continue
+        hi = R   # excess(lo, k) > 0 >= excess(hi, k)
+        while hi - lo > 1e-3 * tol:
+            mid = 0.5 * (lo + hi)
+            if excess(mid, k) <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+        out.append(hi)
+    return out
+
+
 def periodic_search(phi: DiskMap, k_max: int) -> tuple[dict, str]:
     """How periodic_points searches phi to period k_max, on its default
     seed grid: the search entries that reports and artifacts record, and
-    a note on its completeness."""
+    a note on its completeness.  A Newton search records where it
+    stopped: the acceptance tolerance and, per period k, the collar
+    radius r_c(k) past which no seed is searched (null: no collar)."""
     if phi.is_radial:
         return ({"k_max": k_max, "method": "closed-form families"},
                 f"closed-form families, exact for periods <= {k_max}")
     n_r, n_theta = SEED_GRID
-    return ({"k_max": k_max, "method": "newton grid", "n_r": n_r, "n_theta": n_theta},
+    tol = _ACCEPT_REL * max(1.0, phi.radius)
+    collar = [r if math.isfinite(r) else None for r in _collar_radii(phi, k_max, tol)]
+    where = (f"identity collar from r = {collar[0]:.9g}" if collar[0] is not None
+             else "no identity collar")
+    return ({"k_max": k_max, "method": "newton grid", "n_r": n_r, "n_theta": n_theta,
+             "accept_tol": tol, "collar_radius": collar},
             f"newton grid, up to search completeness "
-            f"(k_max = {k_max}, grid = {n_r}x{n_theta})")
+            f"(k_max = {k_max}, grid = {n_r}x{n_theta}, {where})")
 
 
 def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
@@ -745,26 +849,36 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
     periods <= k_max; the grid arguments are unused.
     Records come for k ascending, then r ascending.
 
-    Every other map runs a polar-grid seeded Newton search.  The seeds
-    are the origin, then n_r radii up to R (1 - 1e-9) times n_theta
-    angles, radius-major.  For each k, Newton on phi^k - id runs on all
-    seeds at once with the chained variational Jacobian and a
-    pseudo-inverse step (so circle continua of periodic points are
-    handled), for at most 40 sweeps.  With scale = max(1, R), a seed
-    stops and keeps its last iterate once |phi^k(z) - z| < 1e-12 scale,
-    once its step is not finite, or when the step would leave
-    |z| <= R (1 + 1e-9).
+    Every other map runs a polar-grid seeded Newton search.  With scale
+    = max(1, R) the acceptance tolerance is tol = 1e-9 scale, and for
+    each k the identity collar |z| >= r_c(k) (`_collar_radii`) is where
+    |phi^k(z) - z| < tol provably holds, so the rule below could not
+    tell its points from periodic ones.  The seeds are the origin, then
+    n_r radii up to R (1 - 1e-9) times n_theta angles, radius-major;
+    those in the collar are not searched.  For each k, Newton on
+    phi^k - id runs on the other seeds at once with the chained
+    variational Jacobian and a pseudo-inverse step (so circle continua
+    of periodic points are handled), for at most 40 sweeps.  A seed
+    stops and keeps its last iterate once |phi^k(z) - z| < 1e-12 scale
+    and its step is shorter than 1e-6 (near a flat edge the residual is
+    that small long before the point is found), once its step is not
+    finite, or when the step would leave |z| <= R (1 + 1e-9); it stops
+    and is dropped when the step would enter the collar.
 
-    Each seed's orbit z, phi(z), ..., phi^k(z) is then computed once and
-    decides everything else.  One rule accepts a seed:
-    |phi^k(z) - z| < 1e-9 scale.  It is not minimal when
+    Each seed's orbit z, phi(z), ..., phi^k(z) is the one its last sweep
+    computed (only seeds still moving after 40 sweeps are flowed again),
+    and decides everything else.  One rule accepts a seed:
+    |phi^k(z) - z| < tol.  It is not minimal when
     |phi^j(z) - z| < 1e-8 scale for a proper divisor j of k.  A
     candidate repeats a kept orbit when each of its points lies within
     1e-6 of a point of that orbit.  Candidates are taken in seed
     order, so the first seed of an orbit wins, and the results come for
     k ascending, in seed order within each k; a continuum is reported
     once per seed that lands on it, each record with r_lo = r_hi =
-    |point|.  Action sums use lam0.
+    |point|.  Action sums use lam0.  The collar is reported once, after
+    the other fixed points, as a period-1 record at |z| = support (where
+    phi is the identity and sigma = 0, so with residual and action sum
+    0) with r_lo = r_c(1), r_hi = R.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -772,45 +886,60 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
         return _radial_families(phi, k_max)
     R = phi.radius
     scale = max(1.0, R)
+    tol = _ACCEPT_REL * scale
+    collar = _collar_radii(phi, k_max, tol)
     sig = action(phi)
     radii = np.linspace(R / n_r, R * (1.0 - 1e-9), n_r)
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     seeds = np.concatenate([[0.0 + 0.0j], (radii[:, None] * np.exp(1j * thetas)).ravel()])
     found: list[PeriodicOrbit] = []
-    for k in range(1, k_max + 1):
+    for k, rc in enumerate(collar, start=1):
         z = seeds.copy()
-        live = np.arange(z.size)
+        orbit = np.empty((z.size, k + 1), dtype=complex)  # orbit[i, j] = phi^j(z[i])
+        cand = np.abs(z) < rc
+        live = np.flatnonzero(cand)
         for _ in range(40):
             if live.size == 0:
                 break
             zl = z[live]
-            zk, J = phi.iterate_differential(zl, k)
-            F = zk - zl
+            its, J = phi.iterate_differential(zl, k)
+            F = its[:, k] - zl
             step = np.linalg.pinv(J - np.eye(2), rtol=None) @ np.stack(
                 [F.real, F.imag], axis=-1)[..., None]
             nz = zl - (step[:, 0, 0] + 1j * step[:, 1, 0])
-            moves = ((np.abs(F) >= 1e-12 * scale) & np.isfinite(nz)
-                     & (np.abs(nz) <= R * (1.0 + 1e-9)))
+            # settled: a small residual and a small correction; a seed
+            # crawling toward a flat edge has the first without the second
+            moves = (((np.abs(F) >= 1e-12 * scale) | (np.abs(nz - zl) >= _LOCATE))
+                     & np.isfinite(nz) & (np.abs(nz) <= R * (1.0 + 1e-9)))
+            into = moves & (np.abs(nz) >= rc)
+            orbit[live[~moves]] = its[~moves]
+            cand[live[into]] = False
+            moves &= ~into
             live = live[moves]
             z[live] = nz[moves]
-        orbit = [z]
-        for _ in range(k):
-            orbit.append(phi.evaluate(orbit[-1]))
-        orbit = np.stack(orbit, axis=1)  # orbit[i, j] = phi^j(seed i's z)
-        gap = np.abs(orbit - z[:, None])
-        ok = gap[:, k] < 1e-9 * scale
+        if live.size:   # still moving after 40 sweeps: flow the last iterate
+            its = [z[live]]
+            for _ in range(k):
+                its.append(phi.evaluate(its[-1]))
+            orbit[live] = np.stack(its, axis=1)
+        idx = np.flatnonzero(cand)
+        gap = np.abs(orbit[idx] - z[idx, None])
+        ok = gap[:, k] < tol
         for j in range(1, k):
             if k % j == 0:
                 ok &= gap[:, j] >= 1e-8 * scale
-        pts = orbit[:, :k]
+        pts = orbit[idx, :k]
         kept: list[int] = []
         for i in np.flatnonzero(ok):
             # |candidate point - kept point| over (kept orbit, point, point)
             d = np.abs(pts[i][None, :, None] - pts[kept][:, None, :])
-            if not np.any(np.all(d.min(axis=2) <= 1e-6, axis=1)):
+            if not np.any(np.all(d.min(axis=2) <= _LOCATE, axis=1)):
                 kept.append(i)
         acts = np.sum(sig(pts[kept]), axis=1)
         found.extend(PeriodicOrbit(complex(pts[i, 0]), k, float(a), tuple(pts[i].tolist()),
                                    float(gap[i, k]), float(abs(pts[i, 0])), float(abs(pts[i, 0])))
                      for i, a in zip(kept, acts))
+        if k == 1 and math.isfinite(rc):
+            edge = complex(phi.support)
+            found.append(PeriodicOrbit(edge, 1, 0.0, (edge,), 0.0, rc, R))
     return found

@@ -278,6 +278,30 @@ def test_plug_verify_b_reads_the_plugs_sigma_minimum(tmp_path, monkeypatch):
     assert b1["margin"] == 0.0 - sig_min and b1["witness"] == [z_min.real, z_min.imag]
 
 
+def test_newton_search_reports_its_identity_collar(tmp_path):
+    # the collar of the ham_plug map h2 is one row, and the reports and
+    # artifacts of a Newton search say where it stopped
+    h2 = DiskMap(0.3, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.3),), time=0.1),))
+    plug_file = write_plug(tmp_path / "plug.json", h2.to_dict())
+    assert main(["plug", "orbits", str(plug_file), "--kmax", "1", "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "plug_orbits.csv").read_text().splitlines()[1:]]
+    assert [(kind, float(r), float(T)) for kind, r, _, _, T in rows if float(r) > 0.2] == [
+        ("fixed", 0.3, 1.0)]
+    # a3 fails: the critical points on r = a/sqrt 5 close in T = 1 - 4.096e-4
+    assert main(["plug", "verify-a", str(plug_file), "--eps", "1", "--kmax", "2",
+                 "--out", str(tmp_path)]) == 1
+    search = json.loads((tmp_path / "report_a.json").read_text())["search"]
+    r_c = search["collar_radius"]
+    assert search["accept_tol"] == 1e-9 and len(r_c) == 2 and 0.299 < r_c[0] <= r_c[1] < 0.3
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(h2.to_dict()))
+    assert main(["disk", "periodic", str(map_file), "--kmax", "1", "--out", str(tmp_path)]) == 0
+    periodic = json.loads((tmp_path / "periodic.json").read_text())
+    assert periodic["context"]["collar_radius"] == r_c[:1]
+    assert periodic["orbits"][-1] == {"kind": "fixed", "r": 0.3, "p": 0, "q": 1, "T": 1.0,
+                                      "r_lo": r_c[0], "r_hi": 0.3}
+
+
 def test_plug_realize_builds_one_plug(tmp_path, monkeypatch):
     # realize_rotational takes sigma from make_plug; the CLI reads the plug
     # file without building a plug of its own first

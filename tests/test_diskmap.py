@@ -3,7 +3,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import reebplug.diskmap as diskmap_module
 from reebplug.cli import main
 from reebplug.diskmap import (
     LAM0,
@@ -14,11 +16,13 @@ from reebplug.diskmap import (
     PeriodicOrbit,
     PrimitiveOneForm,
     RadialTwist,
+    _step_drift,
     _terms_jet,
     action,
     calabi,
     compose,
     periodic_points,
+    periodic_search,
     rescale,
 )
 from reebplug.numerics import QuadratureSpec, RadialFunction, integrate_disk
@@ -279,8 +283,14 @@ def _same_orbit(a, b, tol):
 
 def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
                                   accept_tol=1e-9, dedup_tol=1e-6):
+    """One seed at a time, with the same rules: a seed settles on a small
+    residual and a small step; seeds at or past r_c(k) are not searched,
+    a seed whose step would enter the collar is dropped, and the collar
+    is one period-1 record at |z| = support."""
     R = phi.radius
     sig = action(phi)
+    collar = periodic_search(phi, k_max)[0].get("collar_radius", [None] * k_max)
+    collar = [np.inf if r is None else r for r in collar]
     radii = np.linspace(R / n_r, R * (1.0 - 1e-9), n_r)
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     seeds = [0.0 + 0.0j]
@@ -292,28 +302,37 @@ def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
     for k in range(1, k_max + 1):
         divisors = [j for j in range(1, k) if k % j == 0]
         k_found = []
+        rc = collar[k - 1]
         for z0 in seeds:
+            if abs(z0) >= rc:
+                continue
             z = complex(z0)
             ok = False
             for _ in range(40):
-                zk, J = phi.iterate_differential(z, k)
+                its, J = phi.iterate_differential(z, k)
+                zk = its[-1]
                 F = np.array([zk.real - z.real, zk.imag - z.imag])
                 res = float(np.hypot(F[0], F[1]))
-                if res < 1e-12 * scale:
-                    ok = True
-                    break
                 A = J - np.eye(2)
                 step, *_ = np.linalg.lstsq(A, F, rcond=None)
+                if res < 1e-12 * scale and np.hypot(*step) < 1e-6:
+                    ok = True
+                    break
                 if not np.all(np.isfinite(step)):
                     break
                 nz = z - complex(step[0], step[1])
                 if abs(nz) > R * (1.0 + 1e-9):
                     break
+                if abs(nz) >= rc:
+                    z = None
+                    break
                 z = nz
             else:
-                zk, _ = phi.iterate_differential(z, k)
-                res = abs(zk - z)
+                its, _ = phi.iterate_differential(z, k)
+                res = abs(its[-1] - z)
                 ok = res < accept_tol * scale
+            if z is None:
+                continue
             if not ok:
                 zk = _iterate(phi, z, k)
                 if abs(zk - z) >= accept_tol * scale:
@@ -331,6 +350,9 @@ def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
             act = float(np.sum(sig(np.array(orbit))))
             zk = _iterate(phi, z, k)
             k_found.append(PeriodicOrbit(z, k, act, orbit, abs(zk - z), abs(z), abs(z)))
+        if k == 1 and np.isfinite(rc):
+            edge = complex(phi.support)
+            k_found.append(PeriodicOrbit(edge, 1, 0.0, (edge,), 0.0, rc, R))
         found.extend(k_found)
     return found
 
@@ -374,6 +396,8 @@ def test_periodic_points_matches_seed_by_seed(phi, k_max, n_r, n_theta):
     for a, b in zip(new, ref):
         assert abs(abs(a.point) - abs(b.point)) < 1e-7
         assert abs(a.action_sum - b.action_sum) < 1e-9
+        if b.r_lo < b.r_hi:   # the identity collar
+            assert (a.point, a.r_lo, a.r_hi) == (b.point, b.r_lo, b.r_hi)
         assert a.residual < 1e-9
 
 
@@ -522,12 +546,16 @@ def _term_formulas(term, z, magnitude=False):
 
 
 def _jet_rows(jet):
-    """A jet's outputs as the rows (H, H_x, H_y, H_xx, H_xy, H_yy), cut at its order."""
+    """A jet's outputs as the rows (H, H_x, H_y, H_xx, H_xy, H_yy), cut at its
+    order; the Hessian rows are formed from its parts (P, Q) as P + Re Q,
+    Im Q and P - Re Q."""
     rows = [jet[0]]
     if len(jet) > 1:
         rows += [np.real(jet[1]), np.imag(jet[1])]
     if len(jet) > 2:
-        rows += list(jet[2])
+        P, Q = jet[2]
+        assert np.isrealobj(P)
+        rows += [P + Q.real, Q.imag, P - Q.real]
     return rows
 
 
@@ -580,17 +608,22 @@ def test_terms_jet_matches_summed_formulas(terms):
         _assert_jet_matches(_terms_jet(terms, z, order), ref, mag)
 
 
+def h2_map():
+    """The ham_plug benchmark's m = 2 step: support 0.3 = R, time 0.1, coef 0.05."""
+    return DiskMap(0.3, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.3),), time=0.1),))
+
+
 def test_ham_plug_maps_match_term_formula_outputs():
     """The ham_plug maps' outputs against tests/data/ham_plug_reference.json,
-    made with the term-by-term formulas.  The four collar points near
-    r = 0.29997 are where Newton stopped crawling toward the flat support
-    edge (not periodic points; see CHANGES.md), and a 1-ulp random change
-    of the right-hand side moves them by 8e-12 to 2.3e-11, so they are held
-    to 1e-10; everything else to 1e-15."""
+    made with the term-by-term formulas, all held to 1e-15.  The fixed
+    points of h2 are the origin, the four critical points at r = a/sqrt 5
+    and one identity-collar record at |z| = a covering [r_c(1), a]; no
+    seed crawls toward the flat support edge any more, so no record lies
+    just inside it."""
     ref = json.loads((Path(__file__).parent / "data" / "ham_plug_reference.json").read_text())
     a, t = 0.3, 0.1
     h0 = DiskMap(a, (HamiltonianStep((BumpHarmonic(0, "cos", 0.05, a),), time=t),))
-    h2 = DiskMap(a, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, a),), time=t),))
+    h2 = h2_map()
     twist = RadialFunction(np.array([0.0, a]), np.array([-1.0, 0.0]), np.zeros(2),
                            parity="even")
     comp = compose(DiskMap(a, (RadialTwist(twist),)), h2)
@@ -612,10 +645,103 @@ def test_ham_plug_maps_match_term_formula_outputs():
     orbs = periodic_points(h2, 1, n_r=4, n_theta=4)
     assert [o.period for o in orbs] == [r["period"] for r in ref["periodic h2"]]
     for o, r in zip(orbs, ref["periodic h2"]):
-        collar = 0.2999 < abs(o.point) < 0.29999
-        close(o.point, complex(*r["point"]), 1e-10 if collar else 1e-15)
+        close(o.point, complex(*r["point"]))
         close(o.action_sum, r["action_sum"])
-    assert sum(0.2999 < abs(o.point) < 0.29999 for o in orbs) == 4
+    assert not any(0.2999 < abs(o.point) < a for o in orbs)
+    r_c = periodic_search(h2, 1)[0]["collar_radius"][0]
+    assert (orbs[-1].r_lo, orbs[-1].r_hi, orbs[-1].residual) == (r_c, a, 0.0)
+    assert all(o.r_lo == o.r_hi for o in orbs[:-1])
+
+
+def test_periodic_points_h2_work_count(monkeypatch):
+    # 11 Newton sweeps, one variational flow each, and one action flow for
+    # the kept points: seeds that crawl toward the flat support edge, or
+    # orbits flowed again after their settling sweep, would add flows
+    calls = []
+    flow = diskmap_module.ode_flow
+    monkeypatch.setattr(diskmap_module, "ode_flow",
+                        lambda *args: calls.append(args) or flow(*args))
+    periodic_points(h2_map(), 1, n_r=4, n_theta=4)
+    assert len(calls) == 12
+
+
+# ---------------------------------------------------------------------------
+# The identity collar: past r_c(k), phi^k moves no point by the acceptance
+# tolerance, checked against flows that share no code with the map's.
+# ---------------------------------------------------------------------------
+
+def _own_map(phi, z):
+    """phi(z) from the term-by-term formulas under solve_ivp (DOP853 at
+    1e-13) for steps, and z exp(i rho(|z|)) for twists."""
+    for p in reversed(phi.primitives):
+        if isinstance(p, RadialTwist):
+            z = z * np.exp(1j * p.profile(np.abs(z)))
+            continue
+        n = z.size
+
+        def field(t, y, terms=p.terms, n=n):
+            rows = [_term_formulas(term, y[:n] + 1j * y[n:]) for term in terms]
+            return np.concatenate([sum(r[2] for r in rows), -sum(r[1] for r in rows)])
+        sol = solve_ivp(field, (0.0, p.time), np.concatenate([z.real, z.imag]),
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        z = sol.y[:n, -1] + 1j * sol.y[n:, -1]
+    return z
+
+
+def collar_map(name):
+    return {
+        "h2": h2_map,
+        "m0_step": lambda: DiskMap(1.0, (HamiltonianStep(
+            (BumpHarmonic(0, "cos", 0.1, 0.8),), time=0.5),)),
+        "two_term_step": lambda: DiskMap(1.0, (HamiltonianStep(
+            (BumpHarmonic(3, "sin", 0.12, 0.8, 3), BumpHarmonic(1, "cos", 0.04, 0.5)),
+            time=0.7),)),
+        "twist_after_step": twist_after_step,
+    }[name]()
+
+
+def test_step_drift_bounds_the_hamiltonian_speed():
+    # the collar's per-step bound, t |X_H| <= drift(r), at |w| = r
+    rng = np.random.default_rng(7)
+    for name in ("h2", "m0_step", "two_term_step"):
+        phi = collar_map(name)
+        step = phi.primitives[0]
+        w = phi.radius * np.sqrt(rng.random(4000)) * np.exp(2j * np.pi * rng.random(4000))
+        rows = [_term_formulas(term, w) for term in step.terms]
+        speed = step.time * np.hypot(sum(r[1] for r in rows), sum(r[2] for r in rows))
+        bound = np.array([_step_drift(step, r) for r in np.abs(w)])
+        assert np.all(speed <= bound * (1.0 + 1e-12)), name
+
+
+@pytest.mark.parametrize("name", ["h2", "m0_step", "two_term_step", "twist_after_step"])
+def test_identity_collar_lemma(name):
+    phi = collar_map(name)
+    R, k_max = phi.radius, 3
+    search, _ = periodic_search(phi, k_max)
+    r_c, tol = search["collar_radius"], search["accept_tol"]
+    assert tol == 1e-9 * max(1.0, R)
+    assert all(a <= b for a, b in zip(r_c, r_c[1:]))      # the collar narrows as k grows
+    assert r_c[-1] < phi.support                          # and reaches inside the support
+    rng = np.random.default_rng(11)
+    for k, r0 in enumerate(r_c, start=1):
+        r = r0 + (R - r0) * np.concatenate([[0.0], rng.random(95) ** 3])
+        z = r * np.exp(2j * np.pi * rng.random(r.size))
+        w = z
+        for _ in range(k):
+            w = _own_map(phi, w)
+        assert np.max(np.abs(w - z)) < tol, (k, float(np.max(np.abs(w - z))))
+
+
+def test_identity_collar_is_one_record():
+    # the default seeds at r >= 0.7 lie where the step is the identity, and
+    # those just inside once crawled toward it; the collar is one record
+    phi = m2_step()
+    r_c = periodic_search(phi, 1)[0]["collar_radius"][0]
+    orbs = periodic_points(phi, 1)
+    outer = [o for o in orbs if abs(o.point) > 0.5]
+    assert [(o.point, o.period, o.action_sum, o.residual, o.r_lo, o.r_hi) for o in outer] == [
+        (0.7 + 0.0j, 1, 0.0, 0.0, r_c, 1.0)]
+    assert 0.69 < r_c < 0.7
 
 
 # ---------------------------------------------------------------------------

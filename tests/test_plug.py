@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reebplug.diskmap import BumpHarmonic, DiskMap, HamiltonianStep, RadialTwist
+from reebplug.diskmap import BumpHarmonic, DiskMap, HamiltonianStep, RadialTwist, compose
 from reebplug.numerics import RadialFunction
 from reebplug.plug import (PlugError, PlugSystem, make_plug, orbit_periods,
                            realize_rotational, rescale_plug, verify_a, verify_b)
@@ -64,6 +64,33 @@ def test_orbit_periods_fixed_point_action():
     center = [(o, T) for o, T in found if abs(o.point) < 1e-6]
     assert center
     assert center[0][1] == pytest.approx(0.5, abs=1e-9)
+
+
+def ham_plug_map(with_twist: bool) -> DiskMap:
+    # the ham_plug benchmark's m = 2 step, alone or after its smoothstep twist
+    a = 0.3
+    h2 = DiskMap(a, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, a),), time=0.1),))
+    if not with_twist:
+        return h2
+    twist = RadialFunction(np.array([0.0, a]), np.array([-1.0, 0.0]), np.zeros(2),
+                           parity="even")
+    return compose(DiskMap(a, (RadialTwist(twist),)), h2)
+
+
+@pytest.mark.parametrize("with_twist", [False, True], ids=["h2", "twist_after_h2"])
+def test_orbit_witnesses_are_critical_points(with_twist):
+    # a3's shortest orbit and b3's least action sit at the origin or at a
+    # critical point of H on r = a/sqrt 5, never in the identity collar
+    plug = make_plug(ham_plug_map(with_twist), 1.0, n_r=12, n_theta=8)
+    checks = [verify_a(plug, eps=1.0, k_max=2).check("a3"),
+              verify_b(plug, n=2, eps=1.0).check("b3")]
+    for c in checks:
+        r = abs(complex(*c.witness))
+        assert r < 1e-9 or abs(r - 0.3 / math.sqrt(5.0)) < 1e-9, (c.name, r)
+    if with_twist:
+        assert all(abs(complex(*c.witness)) < 1e-9 for c in checks)
+    fixed = [o for o, _ in orbit_periods(plug, 1)]
+    assert [abs(o.point) for o in fixed if abs(o.point) > 0.2] == [0.3]
 
 
 def test_volume_identity_three_plug_kinds():
