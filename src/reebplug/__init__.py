@@ -34,6 +34,7 @@ from .diskmap import (
     DiskMap,
     HamiltonianStep,
     PeriodicOrbit,
+    PeriodicSearch,
     PrimitiveOneForm,
     RadialTwist,
     action,

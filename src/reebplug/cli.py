@@ -20,7 +20,7 @@ import numpy as np
 
 from .certify import CertificationError, assemble, systolic_bound
 from .diskmap import (BumpHarmonic, DiskMap, PrimitiveOneForm, action, calabi,
-                      periodic_points, periodic_search)
+                      periodic_points)
 from .numerics import NonConvergenceError, integrate_disk
 from .plug import (A3_K_MAX, PlugError, PlugSystem, make_plug, orbit_periods,
                    plug_inputs, realize_rotational, rescale_plug, verify_a, verify_b)
@@ -274,7 +274,6 @@ def _cmd_disk_cal(args) -> int:
 def _cmd_disk_periodic(args) -> int:
     phi = _load_map(args.map)
     orbits = periodic_points(phi, args.kmax)
-    search, _ = periodic_search(phi, args.kmax)
     # T is the suspension period at unit fiber: k + action along orbit
     rows = [_map_orbit_row(o, o.period + o.action_sum) for o in orbits]
     out = _out_dir(args)
@@ -286,10 +285,12 @@ def _cmd_disk_periodic(args) -> int:
             "orbits": [{"kind": k, "r": r, "p": p, "q": q, "T": T,
                         "r_lo": o.r_lo, "r_hi": o.r_hi}
                        for (k, r, p, q, T), o in zip(rows, orbits)],
-            "context": {**search, "fiber": 1.0,
-                        "families": "one entry per family; r_lo and r_hi "
-                                    "bound its radii, equal for a point "
-                                    "or circle"}})
+            "context": {**orbits.search, "fiber": 1.0,
+                        "families": "one entry per family (a newton grid "
+                                    "lists a circle of periodic points once "
+                                    "per seed that lands on it); r_lo and "
+                                    "r_hi bound its radii, equal for a "
+                                    "point or circle"}})
     print(f"periodic: {len(rows)} orbit families up to period {args.kmax}")
     return 0
 
@@ -354,7 +355,7 @@ def _cmd_plug_orbits(args) -> int:
     found = orbit_periods(plug, args.kmax)
     _write_text(_out_dir(args) / "plug_orbits.csv",
                 _orbit_csv(_map_orbit_row(orb, T) for orb, T in found))
-    print(f"plug: {len(found)} orbits up to k = {args.kmax}")
+    print(f"plug: {len(found)} orbits up to k = {args.kmax} ({found.note})")
     return 0
 
 

@@ -34,14 +34,17 @@ terms, evaluated only by `BumpHarmonic.jet` (H, gradient and Hessian from
 shared powers); a flow's right-hand side makes one jet call per term and
 carries the point and the columns of its Jacobian as complex numbers.
 
-Periodic points come one record per family.  For a radial map they are
-closed forms too: the origin, the circles where k rho = 2 pi p and the
-bands where that holds identically, both from `numerics.resonances`,
-the solver the rotational orbit search also uses.  Other maps run a
-seeded Newton search inside the identity collar, the annulus near the
-boundary where a bound on each primitive's displacement proves
-|phi^k(z) - z| below the acceptance tolerance; that collar is one
-record, at |z| = support.
+Periodic points come as a `PeriodicSearch`: the records, plus the
+entries and note that say how they were searched.  For a radial map
+they are closed forms too, one record per family: the origin, the
+circles where k rho = 2 pi p and the bands where that holds
+identically, both from `numerics.resonances`, the solver the
+rotational orbit search also uses.  Other maps run a seeded Newton
+search inside the identity collar, the annulus near the boundary where
+a bound on each primitive's displacement proves |phi^k(z) - z| below
+the acceptance tolerance; that collar is one record, at |z| = support,
+but a circle of periodic points is one record per seed that lands on
+it.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .numerics import (
 )
 
 _GAUSS15 = gauss_rule(15)
-SEED_GRID = (24, 16)   # periodic_points' default n_r x n_theta Newton seeds
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +91,10 @@ class BumpHarmonic:
     def __post_init__(self):
         if self.m < 0 or self.trig not in ("cos", "sin"):
             raise ValueError("need m >= 0 and trig in {cos, sin}")
-        if self.support <= 0 or self.power < 3:
-            raise ValueError("need support > 0 and power >= 3")
+        if not (math.isfinite(self.coef) and 0.0 < self.support < math.inf):
+            raise ValueError("need a finite coef and a finite support > 0")
+        if self.power < 3:
+            raise ValueError("need power >= 3")
         if self.m == 0 and self.trig == "sin":
             raise ValueError("m = 0 sine term vanishes identically")
 
@@ -155,8 +159,16 @@ class BumpHarmonic:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BumpHarmonic":
-        return cls(int(d["m"]), d["trig"], float(d["coef"]),
-                   float(d["support"]), int(d.get("power", 4)))
+        return cls(_whole(d["m"], "m"), d["trig"], float(d["coef"]),
+                   float(d["support"]), _whole(d.get("power", 4), "power"))
+
+
+def _whole(value, name: str) -> int:
+    """value as an int, refusing one that is not a whole number."""
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError(f"{name} must be a whole number, not {value!r}")
+    return int(x)
 
 
 def _rising_powers(v, top: int, order: int) -> list:
@@ -236,11 +248,8 @@ class RadialTwist:
         r = np.abs(z)
         return z * np.exp(1j * self.profile(r))
 
-    def differential(self, z):
-        """2x2 Jacobians, shape (..., 2, 2), by the closed formula."""
-        return self.evaluate_with_differential(z)[1]
-
     def evaluate_with_differential(self, z):
+        """(twist(z), its 2x2 Jacobians of shape (..., 2, 2)), in closed form."""
         z = np.asarray(z, dtype=complex)
         r = np.abs(z)
         rho = self.profile(r)
@@ -276,6 +285,8 @@ class HamiltonianStep:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("need at least one term")
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, not {self.time!r}")
 
     @property
     def support(self) -> float:
@@ -391,8 +402,8 @@ class DiskMap:
 
     def __post_init__(self):
         object.__setattr__(self, "primitives", tuple(self.primitives))
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, not {self.radius!r}")
         for p in self.primitives:
             if p.support > self.radius + 1e-12:
                 raise ValueError("primitive support exceeds the map radius")
@@ -427,10 +438,6 @@ class DiskMap:
 
     def __call__(self, z):
         return self.evaluate(z)
-
-    def differential(self, z):
-        """Jacobian chain across the primitives (closed form / variational)."""
-        return self.evaluate_with_differential(z)[1]
 
     def evaluate_with_differential(self, z):
         """(phi(z), D(phi)(z)) with one pass over the primitives."""
@@ -815,29 +822,29 @@ def _collar_radii(phi: DiskMap, k_max: int, tol: float) -> list[float]:
     return out
 
 
-def periodic_search(phi: DiskMap, k_max: int) -> tuple[dict, str]:
-    """How periodic_points searches phi to period k_max, on its default
-    seed grid: the search entries that reports and artifacts record, and
-    a note on its completeness.  A Newton search records where it
-    stopped: the acceptance tolerance and, per period k, the collar
-    radius r_c(k) past which no seed is searched (null: no collar)."""
-    if phi.is_radial:
-        return ({"k_max": k_max, "method": "closed-form families"},
-                f"closed-form families, exact for periods <= {k_max}")
-    n_r, n_theta = SEED_GRID
-    tol = _ACCEPT_REL * max(1.0, phi.radius)
-    collar = [r if math.isfinite(r) else None for r in _collar_radii(phi, k_max, tol)]
-    where = (f"identity collar from r = {collar[0]:.9g}" if collar[0] is not None
-             else "no identity collar")
-    return ({"k_max": k_max, "method": "newton grid", "n_r": n_r, "n_theta": n_theta,
-             "accept_tol": tol, "collar_radius": collar},
-            f"newton grid, up to search completeness "
-            f"(k_max = {k_max}, grid = {n_r}x{n_theta}, {where})")
+class PeriodicSearch(list):
+    """The records of periodic_points (or orbit_periods' (record, T)
+    pairs), plus how they were searched: `search`, the entries that
+    reports and artifacts record, and `note`, a line on its completeness.
+
+    `search` has k_max and method; a Newton search adds its seed grid
+    n_r x n_theta, its acceptance tolerance accept_tol and, per period
+    k, the collar radius r_c(k) past which no seed is searched (None:
+    no collar).
+    """
+
+    def __init__(self, records, search: dict, note: str):
+        super().__init__(records)
+        self.search = search
+        self.note = note
 
 
-def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
-                    n_theta: int = SEED_GRID[1]) -> list[PeriodicOrbit]:
-    """The periodic points of minimal period <= k_max, one record per family.
+def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
+                    n_theta: int = 16) -> PeriodicSearch:
+    """The periodic points of minimal period <= k_max: one record per
+    family for a radial map, one per seed that lands on a family for a
+    Newton search.  The result is a `PeriodicSearch`, whose `search` and
+    `note` describe the search below as it ran.
 
     Radial maps z -> z exp(i rho(|z|)) are solved in closed form, with no
     map evaluation: the period-k points are the origin (k = 1), the
@@ -883,7 +890,9 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if phi.is_radial:
-        return _radial_families(phi, k_max)
+        return PeriodicSearch(_radial_families(phi, k_max),
+                              {"k_max": k_max, "method": "closed-form families"},
+                              f"closed-form families, exact for periods <= {k_max}")
     R = phi.radius
     scale = max(1.0, R)
     tol = _ACCEPT_REL * scale
@@ -942,4 +951,11 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = SEED_GRID[0],
         if k == 1 and math.isfinite(rc):
             edge = complex(phi.support)
             found.append(PeriodicOrbit(edge, 1, 0.0, (edge,), 0.0, rc, R))
-    return found
+    r_c = [r if math.isfinite(r) else None for r in collar]
+    where = (f"identity collar from r = {r_c[0]:.9g}" if r_c[0] is not None
+             else "no identity collar")
+    return PeriodicSearch(
+        found, {"k_max": k_max, "method": "newton grid", "n_r": n_r, "n_theta": n_theta,
+                "accept_tol": tol, "collar_radius": r_c},
+        f"newton grid, up to search completeness "
+        f"(k_max = {k_max}, grid = {n_r}x{n_theta}, {where})")

@@ -1019,14 +1019,23 @@ def integrate_disk(fn, radius: float, spec: QuadratureSpec | None = None) -> Qua
 def ode_flow(field, start, time: float) -> OdeResult:
     """Flow `start` for `time` along field(t, y) at per-step tolerance
     1e-12; counts steps, detects NaN.  The error estimate is the step
-    count times that tolerance times the largest state entry seen."""
+    count times that tolerance times the largest state entry seen.
+
+    A start or a first field value that is not finite raises at once:
+    DOP853's first step size would be NaN, and its step loop would then
+    neither take a step nor fail.
+    """
     from scipy.integrate import DOP853
 
     y0 = np.asarray(start, dtype=float)
     if time == 0.0 or y0.size == 0:
         return OdeResult(y0.copy(), 0.0, 0)
+    if not np.isfinite(y0).all():
+        raise NonConvergenceError("ODE start is not finite")
     stepper = DOP853(field, 0.0, y0, t_bound=float(time),
                      rtol=_ODE_TOL, atol=_ODE_TOL)
+    if not np.isfinite(stepper.f).all():   # the field at the start
+        raise NonConvergenceError("ODE field is not finite at the start")
     n = 0
     scale = max(1.0, float(np.max(np.abs(y0))))
     while stepper.status == "running":

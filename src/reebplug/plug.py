@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diskmap import (ActionField, DiskMap, PeriodicOrbit, RadialTwist, action,
-                      calabi, periodic_points, periodic_search, rescale)
+from .diskmap import (ActionField, DiskMap, PeriodicSearch, RadialTwist, action,
+                      calabi, periodic_points, rescale)
 from .numerics import PiecewisePoly, RadialFunction, gauss_piecewise, integrate_disk
 from .rotorus import RotForm, contact_check
 
@@ -147,8 +147,8 @@ def make_plug(phi: DiskMap, L: float,
     plus local refinement otherwise; a non-positive minimum raises
     PlugError with the witness point.
     """
-    if L <= 0.0:
-        raise PlugError("fiber length must be positive")
+    if not 0.0 < L < math.inf:
+        raise PlugError(f"fiber length must be positive and finite, not {L!r}")
     sigma = action(phi)
     sig_min, z_at = _min_sigma(phi, sigma, n_r, n_theta)
     if L + sig_min <= 0.0:
@@ -157,18 +157,19 @@ def make_plug(phi: DiskMap, L: float,
     return PlugSystem(L, phi, sigma, sig_min, z_at)
 
 
-def orbit_periods(plug: PlugSystem, k_max: int) -> list[tuple[PeriodicOrbit, float]]:
-    """The map's periodic families (see periodic_points, default seed grid)
-    with T = sum of tau along one orbit of each.
+def orbit_periods(plug: PlugSystem, k_max: int) -> PeriodicSearch:
+    """The map's periodic records (see periodic_points, default seed grid)
+    as (record, T) pairs, T the sum of tau along one orbit of each.
 
-    T = k L + sum of sigma over the orbit; the list is sorted by
-    (T, combinatorial period, radius) for reproducibility.
+    T = k L + sum of sigma over the orbit; the pairs are sorted by
+    (T, combinatorial period, radius) for reproducibility, and carry
+    the search's `search` entries and `note` on.
     """
     orbs = periodic_points(plug.map, k_max)
     out = [(o, o.period * plug.L + o.action_sum) for o in orbs]
     out.sort(key=lambda item: (round(item[1], 12), item[0].period,
                                round(abs(item[0].point), 9)))
-    return out
+    return PeriodicSearch(out, orbs.search, orbs.note)
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +237,29 @@ def verify_b(plug: PlugSystem, n: int, eps: float) -> PlugReport:
                     note=f"CAL = {cal:.9g}, cap = {cap:.9g}")
 
     found = orbit_periods(plug, n)
-    search, completeness = periodic_search(plug.map, n)
     fixed = [o for o, _ in found if o.period == 1]
     if fixed:
         worst = min(fixed, key=lambda o: o.action_sum)
         b3 = AxiomCheck("b3", worst.action_sum >= -B3_TOL, -worst.action_sum,
-                        note=f"{len(fixed)} fixed-point records; {completeness}",
+                        note=f"{len(fixed)} fixed-point records; {found.note}",
                         witness=(worst.point.real, worst.point.imag))
     else:
-        b3 = AxiomCheck("b3", True, 0.0, note="no fixed points detected; " + completeness)
+        b3 = AxiomCheck("b3", True, 0.0, note="no fixed points detected; " + found.note)
 
     shorts = [o for o, _ in found if 2 <= o.period < n]
     if shorts:
         worst = min(shorts, key=lambda o: (o.period, abs(o.point)))
         b4 = AxiomCheck("b4", False, float(len(shorts)),
-                        note=f"minimal period {worst.period} found; " + completeness,
+                        note=f"minimal period {worst.period} found; " + found.note,
                         witness=(worst.point.real, worst.point.imag))
     else:
-        b4 = AxiomCheck("b4", True, 0.0, note=completeness)
+        b4 = AxiomCheck("b4", True, 0.0, note=found.note)
 
     return PlugReport(
         family="b", checks=(b1, b2, b3, b4),
         t_min=min(T for _, T in found) if found else None,
         volume=plug.volume(),
-        search={"L": plug.L, "n": n, "eps": eps, **search})
+        search={"L": plug.L, "n": n, "eps": eps, **found.search})
 
 
 def verify_a(plug: PlugSystem, eps: float, k_max: int = A3_K_MAX) -> PlugReport:
@@ -281,21 +281,20 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = A3_K_MAX) -> PlugReport:
                     note="holds by model: suspension fibers are isotopic "
                          "to the trivial ones")
     found = orbit_periods(plug, k_max)
-    search, completeness = periodic_search(plug.map, k_max)
     if found:
         worst, t_min = min(found, key=lambda item: item[1])
         a3 = AxiomCheck("a3", t_min >= 1.0 - 1e-10, 1.0 - t_min,
-                        note=completeness,
+                        note=found.note,
                         witness=(worst.point.real, worst.point.imag))
     else:
         t_min = None
-        a3 = AxiomCheck("a3", True, 0.0, note="no orbits detected; " + completeness)
+        a3 = AxiomCheck("a3", True, 0.0, note="no orbits detected; " + found.note)
     vol = plug.volume()
     a4 = AxiomCheck("a4", vol < eps, vol - eps,
                     note=f"volume = {vol:.9g}, eps = {eps:.9g}")
     return PlugReport(
         family="a", checks=(a1, a2, a3, a4), t_min=t_min, volume=vol,
-        search={"eps": eps, **search})
+        search={"eps": eps, **found.search})
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,6 @@ class ProfileCurve:
     g: RadialFunction
     params: ProfileParams
 
-    def gamma(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.f(r) + 1j * self.g(r)
-
     def gap(self) -> float:
         """Achieved drop g(r0) - g(rho), budgeted at 2 delta by B3."""
         return float(self.g(self.params.r0) - self.g(self.params.rho))

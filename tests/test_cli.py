@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from reebplug import cli as cli_module
+from reebplug import diskmap as diskmap_module
 from reebplug import plug as plug_module
 from reebplug import profile as profile_module
 from reebplug import rotorus
@@ -300,6 +301,41 @@ def test_newton_search_reports_its_identity_collar(tmp_path):
     assert periodic["context"]["collar_radius"] == r_c[:1]
     assert periodic["orbits"][-1] == {"kind": "fixed", "r": 0.3, "p": 0, "q": 1, "T": 1.0,
                                       "r_lo": r_c[0], "r_hi": 0.3}
+
+
+@pytest.mark.parametrize("radial", [False, True], ids=["h2", "twist"])
+def test_each_periodic_report_finds_the_collar_once(tmp_path, monkeypatch, radial):
+    # the search's own description goes into each report, so the collar is
+    # bisected once per report, and never for a radial map
+    phi = (DiskMap(1.0, (RadialTwist(RadialFunction.bump(-4.0, 0.8)),)) if radial else
+           DiskMap(0.3, (HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.3),), time=0.1),)))
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(phi.to_dict()))
+    plug_file = write_plug(tmp_path / "plug.json", phi.to_dict())
+    calls = []
+    bisect = diskmap_module._collar_radii
+    monkeypatch.setattr(diskmap_module, "_collar_radii",
+                        lambda *args: calls.append(args) or bisect(*args))
+    counts = []
+    for argv in (["plug", "verify-a", str(plug_file), "--eps", "1", "--kmax", "1"],
+                 ["plug", "verify-b", str(plug_file), "--n", "1", "--eps", "1"],
+                 ["plug", "orbits", str(plug_file), "--kmax", "1"],
+                 ["disk", "periodic", str(map_file), "--kmax", "1"]):
+        main(argv + ["--out", str(tmp_path)])
+        counts.append(len(calls))
+    assert counts == ([0, 0, 0, 0] if radial else [1, 2, 3, 4])
+
+
+@pytest.mark.parametrize("L", ["0", "nan", "inf"])
+def test_plug_build_refuses_a_non_finite_fiber(tmp_path, capsys, L):
+    map_file = tmp_path / "map.json"
+    map_file.write_text(json.dumps(DiskMap(0.5, ()).to_dict()))
+    assert main(["plug", "build", str(map_file), "--L", L, "--out", str(tmp_path)]) == 1
+    assert "fiber length must be positive and finite" in capsys.readouterr().err
+    plug_file = write_plug(tmp_path / "plug.json", DiskMap(0.5, ()).to_dict(), L=float(L))
+    assert main(["plug", "verify-a", str(plug_file), "--eps", "1",
+                 "--out", str(tmp_path)]) == 1
+    assert "fiber length must be positive and finite" in capsys.readouterr().err
 
 
 def test_plug_realize_builds_one_plug(tmp_path, monkeypatch):

@@ -16,13 +16,13 @@ from reebplug.diskmap import (
     PeriodicOrbit,
     PrimitiveOneForm,
     RadialTwist,
+    _collar_radii,
     _step_drift,
     _terms_jet,
     action,
     calabi,
     compose,
     periodic_points,
-    periodic_search,
     rescale,
 )
 from reebplug.numerics import QuadratureSpec, RadialFunction, integrate_disk
@@ -76,7 +76,7 @@ def test_area_preservation_random_points():
                          BumpHarmonic(0, "cos", 0.1, 0.8)), time=0.4),
     ))
     pts = 0.85 * rng.random(12) * np.exp(2j * np.pi * rng.random(12))
-    J = phi.differential(pts)
+    J = phi.evaluate_with_differential(pts)[1]
     det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
     assert np.max(np.abs(det - 1.0)) < 1e-8
 
@@ -289,8 +289,8 @@ def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
     is one period-1 record at |z| = support."""
     R = phi.radius
     sig = action(phi)
-    collar = periodic_search(phi, k_max)[0].get("collar_radius", [None] * k_max)
-    collar = [np.inf if r is None else r for r in collar]
+    collar = ([np.inf] * k_max if phi.is_radial
+              else _collar_radii(phi, k_max, accept_tol * max(1.0, R)))
     radii = np.linspace(R / n_r, R * (1.0 - 1e-9), n_r)
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     seeds = [0.0 + 0.0j]
@@ -444,6 +444,8 @@ def test_radial_periodic_points_evaluate_no_map(monkeypatch):
     monkeypatch.setattr(RadialTwist, "evaluate", refuse)
     families = periodic_points(cubed_twist(3.0, n_knots=513), k_max=3)
     assert [(f.period, f.r_lo == f.r_hi) for f in families] == [(1, True), (1, True), (3, True)]
+    assert families.search == {"k_max": 3, "method": "closed-form families"}
+    assert families.note == "closed-form families, exact for periods <= 3"
     with pytest.raises(AssertionError, match="evaluated the map"):
         periodic_points(m2_step(), k_max=1, n_r=2, n_theta=2)
 
@@ -455,6 +457,54 @@ def test_hamiltonian_map_on_no_points():
     assert action(phi)(none).shape == (0,)
     w, J = phi.evaluate_with_differential(none)
     assert w.shape == (0,) and J.shape == (0, 2, 2)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _term(**over):
+    return {"m": 2, "trig": "cos", "coef": 0.05, "support": 0.7, "power": 4, **over}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BumpHarmonic(2, "cos", NAN, 0.7),
+    lambda: BumpHarmonic(2, "cos", INF, 0.7),
+    lambda: BumpHarmonic(2, "cos", 0.05, NAN),
+    lambda: BumpHarmonic(2, "cos", 0.05, INF),
+    lambda: HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.7),), time=NAN),
+    lambda: HamiltonianStep((BumpHarmonic(2, "cos", 0.05, 0.7),), time=-INF),
+    lambda: DiskMap(NAN, ()),
+    lambda: DiskMap(INF, ()),
+    lambda: BumpHarmonic.from_dict(_term(m=2.5)),
+    lambda: BumpHarmonic.from_dict(_term(power=4.9)),
+    lambda: BumpHarmonic.from_dict(_term(m=NAN)),
+], ids=["coef_nan", "coef_inf", "support_nan", "support_inf", "time_nan", "time_inf",
+        "radius_nan", "radius_inf", "m_fraction", "power_fraction", "m_nan"])
+def test_bad_map_data_is_refused(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_whole_number_fields_read_integral_floats():
+    term = BumpHarmonic.from_dict(_term(m=2.0, power=4.0))
+    assert (term.m, term.power) == (2, 4) and type(term.m) is type(term.power) is int
+
+
+@pytest.mark.parametrize("where, field, value", [
+    ("term", "coef", NAN), ("term", "support", NAN), ("term", "support", INF),
+    ("term", "m", 2.5), ("term", "power", 4.9), ("step", "time", NAN), ("map", "radius", INF),
+], ids=["coef_nan", "support_nan", "support_inf", "m_fraction", "power_fraction",
+        "time_nan", "radius_inf"])
+def test_disk_periodic_refuses_bad_map_data(tmp_path, capsys, where, field, value):
+    # a NaN support once left the search spinning inside DOP853
+    d = m2_step().to_dict()
+    owner = {"map": d, "step": d["primitives"][0], "term": d["primitives"][0]["terms"][0]}
+    owner[where][field] = value
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps(d))
+    assert main(["disk", "periodic", str(mp), "--kmax", "1", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "periodic.json").exists()
 
 
 def test_twist_must_end_in_whole_turns(tmp_path):
@@ -475,7 +525,7 @@ def test_twist_must_end_in_whole_turns(tmp_path):
 def test_twist_differential_matches_fd():
     phi = cubed_twist(1.7, n_knots=513)
     z = 0.4 + 0.25j
-    J = phi.differential(z)
+    J = phi.evaluate_with_differential(z)[1]
     h = 1e-6
     fd = np.empty((2, 2))
     for j, e in enumerate((h, 1j * h)):
@@ -487,7 +537,7 @@ def test_twist_differential_matches_fd():
 def test_hamiltonian_differential_matches_fd():
     phi = DiskMap(1.0, (HamiltonianStep((BumpHarmonic(2, "cos", 0.1, 0.7),), time=0.6),))
     z = 0.3 - 0.2j
-    J = phi.differential(z)
+    J = phi.evaluate_with_differential(z)[1]
     h = 1e-6
     fd = np.empty((2, 2))
     for j, e in enumerate((h, 1j * h)):
@@ -648,8 +698,14 @@ def test_ham_plug_maps_match_term_formula_outputs():
         close(o.point, complex(*r["point"]))
         close(o.action_sum, r["action_sum"])
     assert not any(0.2999 < abs(o.point) < a for o in orbs)
-    r_c = periodic_search(h2, 1)[0]["collar_radius"][0]
-    assert (orbs[-1].r_lo, orbs[-1].r_hi, orbs[-1].residual) == (r_c, a, 0.0)
+    # the search says how it ran: on the grid it was given, up to the collar
+    # it stopped at
+    r_c = orbs[-1].r_lo
+    assert orbs.search == {"k_max": 1, "method": "newton grid", "n_r": 4, "n_theta": 4,
+                           "accept_tol": 1e-9, "collar_radius": [r_c]}
+    assert orbs.note == ("newton grid, up to search completeness (k_max = 1, grid = 4x4, "
+                         f"identity collar from r = {r_c:.9g})")
+    assert (orbs[-1].r_hi, orbs[-1].residual) == (a, 0.0)
     assert all(o.r_lo == o.r_hi for o in orbs[:-1])
 
 
@@ -717,9 +773,8 @@ def test_step_drift_bounds_the_hamiltonian_speed():
 def test_identity_collar_lemma(name):
     phi = collar_map(name)
     R, k_max = phi.radius, 3
-    search, _ = periodic_search(phi, k_max)
-    r_c, tol = search["collar_radius"], search["accept_tol"]
-    assert tol == 1e-9 * max(1.0, R)
+    tol = 1e-9 * max(1.0, R)   # periodic_points' acceptance tolerance
+    r_c = _collar_radii(phi, k_max, tol)
     assert all(a <= b for a, b in zip(r_c, r_c[1:]))      # the collar narrows as k grows
     assert r_c[-1] < phi.support                          # and reaches inside the support
     rng = np.random.default_rng(11)
@@ -736,8 +791,8 @@ def test_identity_collar_is_one_record():
     # the default seeds at r >= 0.7 lie where the step is the identity, and
     # those just inside once crawled toward it; the collar is one record
     phi = m2_step()
-    r_c = periodic_search(phi, 1)[0]["collar_radius"][0]
     orbs = periodic_points(phi, 1)
+    r_c = orbs.search["collar_radius"][0]
     outer = [o for o in orbs if abs(o.point) > 0.5]
     assert [(o.point, o.period, o.action_sum, o.residual, o.r_lo, o.r_hi) for o in outer] == [
         (0.7 + 0.0j, 1, 0.0, 0.0, r_c, 1.0)]

@@ -205,6 +205,24 @@ def test_ode_flow_nan_detection():
         ode_flow(bad, np.array([1.0]), 1.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ode_flow_nan_mid_flow():
+    def blows_up(t, y):
+        return np.array([np.nan if t > 0.3 else 1.0])
+    with pytest.raises(NonConvergenceError):
+        ode_flow(blows_up, np.array([1.0]), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("start, value", [
+    ([np.nan, 0.0], 1.0), ([1.0, -np.inf], 1.0), ([1.0, 0.0], np.nan), ([1.0, 0.0], np.inf),
+], ids=["nan_state", "inf_state", "nan_field", "inf_field"])
+def test_ode_flow_refuses_a_non_finite_start(start, value):
+    # DOP853's first step would be NaN, and its step loop would never end
+    with pytest.raises(NonConvergenceError, match="start"):
+        ode_flow(lambda t, y: np.full_like(y, value), np.array(start), 1.0)
+
+
 def test_ode_flow_backward_time():
     fwd = ode_flow(_rotation_field, np.array([1.0, 0.0]), 0.7)
     back = ode_flow(_rotation_field, fwd.state, -0.7)

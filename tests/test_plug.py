@@ -49,10 +49,18 @@ def test_sigma_center_oracle():
                                                            abs=1e-9)
 
 
+@pytest.mark.parametrize("L", [0.0, float("nan"), float("inf")])
+def test_fiber_length_must_be_positive_and_finite(L):
+    with pytest.raises(PlugError, match="fiber length"):
+        make_plug(identity_map(0.5), L)
+
+
 def test_orbit_periods_identity():
     plug = make_plug(identity_map(0.5), 1.0)
     found = orbit_periods(plug, k_max=3)
     assert found
+    assert (found.search, found.note) == ({"k_max": 3, "method": "closed-form families"},
+                                          "closed-form families, exact for periods <= 3")
     for orb, T in found:
         assert orb.period == 1
         assert T == pytest.approx(1.0, abs=1e-9)
