@@ -44,7 +44,11 @@ search inside the identity collar, the annulus near the boundary where
 a bound on each primitive's displacement proves |phi^k(z) - z| below
 the acceptance tolerance; that collar is one record, at |z| = support,
 but a circle of periodic points is one record per seed that lands on
-it.
+it.  At a flat support edge phi - id vanishes to high order, so Newton
+only crawls toward it, each step a fixed fraction of the last (the rate
+(mu - 1)/mu at a zero of multiplicity mu); a seed whose steps shrink
+that way and whose steps' geometric limit lies in the collar is dropped
+as early as one that steps into it.
 """
 
 from __future__ import annotations
@@ -739,6 +743,7 @@ def _radial_families(phi: DiskMap, k_max: int) -> list[PeriodicOrbit]:
 
 _ACCEPT_REL = 1e-9   # |phi^k(z) - z| below this times max(1, R) accepts a seed
 _LOCATE = 1e-6       # how closely a Newton point is located: settle step, orbit match
+_CRAWL = 0.5         # step ratios in [this, 1) twice running: a seed converging linearly
 
 
 def _step_drift(step: HamiltonianStep, r: float) -> float:
@@ -830,7 +835,8 @@ class PeriodicSearch(list):
     `search` has k_max and method; a Newton search adds its seed grid
     n_r x n_theta, its acceptance tolerance accept_tol and, per period
     k, the collar radius r_c(k) past which no seed is searched (None:
-    no collar).
+    no collar) and the numbers of seeds dropped for stepping into it
+    and for crawling toward it.
     """
 
     def __init__(self, records, search: dict, note: str):
@@ -870,7 +876,14 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
     and its step is shorter than 1e-6 (near a flat edge the residual is
     that small long before the point is found), once its step is not
     finite, or when the step would leave |z| <= R (1 + 1e-9); it stops
-    and is dropped when the step would enter the collar.
+    and is dropped when the step would enter the collar, or when its last
+    two step ratios |step_n| / |step_(n-1)| lie in [1/2, 1) and the
+    geometric limit z + step q / (1 - q) of its steps, q the last ratio,
+    lies in the collar.  That is Newton's linear rate (mu - 1)/mu at a
+    zero of multiplicity mu >= 2, which a flat support edge is (phi - id
+    vanishes there to order p - 1 for a bump power p): such a seed would
+    crawl on until a step entered the collar, each sweep a flow for all
+    seeds.  A seed converging quadratically has ratios far below 1/2.
 
     Each seed's orbit z, phi(z), ..., phi^k(z) is the one its last sweep
     computed (only seeds still moving after 40 sweeps are flowed again),
@@ -885,7 +898,9 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
     |point|.  Action sums use lam0.  The collar is reported once, after
     the other fixed points, as a period-1 record at |z| = support (where
     phi is the identity and sigma = 0, so with residual and action sum
-    0) with r_lo = r_c(1), r_hi = R.
+    0) with r_lo = r_c(1), r_hi = R.  The search entries count, per k,
+    the seeds dropped at the collar (dropped_at_collar) and by their
+    crawl (dropped_crawling).
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -902,11 +917,16 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
     thetas = np.arange(n_theta) * (2.0 * np.pi / n_theta)
     seeds = np.concatenate([[0.0 + 0.0j], (radii[:, None] * np.exp(1j * thetas)).ravel()])
     found: list[PeriodicOrbit] = []
+    at_collar, crawling = [], []
     for k, rc in enumerate(collar, start=1):
         z = seeds.copy()
         orbit = np.empty((z.size, k + 1), dtype=complex)  # orbit[i, j] = phi^j(z[i])
         cand = np.abs(z) < rc
         live = np.flatnonzero(cand)
+        last = np.full(z.size, np.inf)   # each seed's last step length
+        ratio = np.zeros(z.size)         # and the ratio of its last two
+        at_collar.append(0)
+        crawling.append(0)
         for _ in range(40):
             if live.size == 0:
                 break
@@ -915,15 +935,27 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
             F = its[:, k] - zl
             step = np.linalg.pinv(J - np.eye(2), rtol=None) @ np.stack(
                 [F.real, F.imag], axis=-1)[..., None]
-            nz = zl - (step[:, 0, 0] + 1j * step[:, 1, 0])
+            d = -(step[:, 0, 0] + 1j * step[:, 1, 0])
+            nz = zl + d
+            size = np.abs(d)
             # settled: a small residual and a small correction; a seed
             # crawling toward a flat edge has the first without the second
-            moves = (((np.abs(F) >= 1e-12 * scale) | (np.abs(nz - zl) >= _LOCATE))
+            moves = (((np.abs(F) >= 1e-12 * scale) | (size >= _LOCATE))
                      & np.isfinite(nz) & (np.abs(nz) <= R * (1.0 + 1e-9)))
             into = moves & (np.abs(nz) >= rc)
+            # crawling: two step ratios in [_CRAWL, 1), steps' limit in the collar
+            q = np.divide(size, last[live], out=np.zeros_like(size), where=last[live] > 0.0)
+            crawl = (moves & ~into & (q >= _CRAWL) & (q < 1.0)
+                     & (ratio[live] >= _CRAWL) & (ratio[live] < 1.0))
+            i = np.flatnonzero(crawl)
+            crawl[i] = np.abs(nz[i] + d[i] * (q[i] / (1.0 - q[i]))) >= rc
+            last[live], ratio[live] = size, q
             orbit[live[~moves]] = its[~moves]
-            cand[live[into]] = False
-            moves &= ~into
+            gone = into | crawl
+            cand[live[gone]] = False
+            at_collar[-1] += int(np.count_nonzero(into))
+            crawling[-1] += int(np.count_nonzero(crawl))
+            moves &= ~gone
             live = live[moves]
             z[live] = nz[moves]
         if live.size:   # still moving after 40 sweeps: flow the last iterate
@@ -952,10 +984,12 @@ def periodic_points(phi: DiskMap, k_max: int, n_r: int = 24,
             edge = complex(phi.support)
             found.append(PeriodicOrbit(edge, 1, 0.0, (edge,), 0.0, rc, R))
     r_c = [r if math.isfinite(r) else None for r in collar]
-    where = (f"identity collar from r = {r_c[0]:.9g}" if r_c[0] is not None
+    where = (f"identity collar from r = {r_c[0]:.9g}, seeds stepping into it or crawling "
+             f"toward it (two step ratios in [{_CRAWL:g}, 1)) dropped" if r_c[0] is not None
              else "no identity collar")
     return PeriodicSearch(
         found, {"k_max": k_max, "method": "newton grid", "n_r": n_r, "n_theta": n_theta,
-                "accept_tol": tol, "collar_radius": r_c},
+                "accept_tol": tol, "collar_radius": r_c,
+                "dropped_at_collar": at_collar, "dropped_crawling": crawling},
         f"newton grid, up to search completeness "
         f"(k_max = {k_max}, grid = {n_r}x{n_theta}, {where})")

@@ -1023,7 +1023,9 @@ def ode_flow(field, start, time: float) -> OdeResult:
 
     A start or a first field value that is not finite raises at once:
     DOP853's first step size would be NaN, and its step loop would then
-    neither take a step nor fail.
+    neither take a step nor fail.  The stepper is built with numpy's
+    floating-point warnings off, so that such a field raises without
+    the warnings of its first-step estimate.
     """
     from scipy.integrate import DOP853
 
@@ -1032,8 +1034,9 @@ def ode_flow(field, start, time: float) -> OdeResult:
         return OdeResult(y0.copy(), 0.0, 0)
     if not np.isfinite(y0).all():
         raise NonConvergenceError("ODE start is not finite")
-    stepper = DOP853(field, 0.0, y0, t_bound=float(time),
-                     rtol=_ODE_TOL, atol=_ODE_TOL)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        stepper = DOP853(field, 0.0, y0, t_bound=float(time),
+                         rtol=_ODE_TOL, atol=_ODE_TOL)
     if not np.isfinite(stepper.f).all():   # the field at the start
         raise NonConvergenceError("ODE field is not finite at the start")
     n = 0

@@ -224,8 +224,8 @@ def verify_b(plug: PlugSystem, n: int, eps: float) -> PlugReport:
     b3 and b4 read orbit_periods to depth n: exact for radial maps, a
     bounded Newton search otherwise; `search` and the notes say which.
     """
-    if eps <= 0.0 or n < 1:
-        raise ValueError("need eps > 0, n >= 1")
+    if not (math.isfinite(eps) and eps > 0.0) or n < 1:
+        raise ValueError("need a finite eps > 0, n >= 1")
     floor = -plug.L + plug.L / n
     b1 = AxiomCheck("b1", plug.sigma_min >= floor, floor - plug.sigma_min,
                     note=f"min sigma = {plug.sigma_min:.9g} at floor {floor:.9g}",
@@ -273,8 +273,8 @@ def verify_a(plug: PlugSystem, eps: float, k_max: int = A3_K_MAX) -> PlugReport:
     """
     if abs(plug.L - 1.0) > 1e-12:
         raise PlugError("a-family checks assume the unit fiber L = 1")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError("eps must be positive and finite")
     a1 = AxiomCheck("a1", True, 0.0,
                     note="holds by model: form is lam0 + ds near the boundary")
     a2 = AxiomCheck("a2", True, 0.0,

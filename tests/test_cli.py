@@ -338,6 +338,15 @@ def test_plug_build_refuses_a_non_finite_fiber(tmp_path, capsys, L):
     assert "fiber length must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+@pytest.mark.parametrize("command", [["plug", "verify-a"], ["plug", "verify-b", "--n", "1"]])
+def test_plug_verify_refuses_a_non_finite_eps(tmp_path, capsys, command, eps):
+    plug_file = write_plug(tmp_path / "plug.json", DiskMap(0.5, ()).to_dict())
+    assert main(command + [str(plug_file), "--eps", eps, "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report_*.json"))
+
+
 def test_plug_realize_builds_one_plug(tmp_path, monkeypatch):
     # realize_rotational takes sigma from make_plug; the CLI reads the plug
     # file without building a plug of its own first

@@ -282,11 +282,13 @@ def _same_orbit(a, b, tol):
 
 
 def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
-                                  accept_tol=1e-9, dedup_tol=1e-6):
+                                  accept_tol=1e-9, dedup_tol=1e-6, crawl=True):
     """One seed at a time, with the same rules: a seed settles on a small
     residual and a small step; seeds at or past r_c(k) are not searched,
-    a seed whose step would enter the collar is dropped, and the collar
-    is one period-1 record at |z| = support."""
+    a seed whose step would enter the collar is dropped, and so, when
+    crawl, is a seed whose last two step ratios lie in [1/2, 1) and whose
+    steps' geometric limit lies in the collar; the collar is one period-1
+    record at |z| = support."""
     R = phi.radius
     sig = action(phi)
     collar = ([np.inf] * k_max if phi.is_radial
@@ -308,6 +310,7 @@ def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
                 continue
             z = complex(z0)
             ok = False
+            last, ratio = np.inf, 0.0
             for _ in range(40):
                 its, J = phi.iterate_differential(z, k)
                 zk = its[-1]
@@ -326,6 +329,13 @@ def _seed_by_seed_periodic_points(phi, k_max, n_r=24, n_theta=16,
                 if abs(nz) >= rc:
                     z = None
                     break
+                size = float(np.hypot(*step))
+                q = size / last if last > 0.0 else 0.0
+                if (crawl and 0.5 <= q < 1.0 and 0.5 <= ratio < 1.0
+                        and abs(nz - complex(step[0], step[1]) * q / (1.0 - q)) >= rc):
+                    z = None
+                    break
+                last, ratio = size, q
                 z = nz
             else:
                 its, _ = phi.iterate_differential(z, k)
@@ -399,6 +409,30 @@ def test_periodic_points_matches_seed_by_seed(phi, k_max, n_r, n_theta):
         if b.r_lo < b.r_hi:   # the identity collar
             assert (a.point, a.r_lo, a.r_hi) == (b.point, b.r_lo, b.r_hi)
         assert a.residual < 1e-9
+
+
+def _families(records):
+    return [(o.period, o.action_sum, abs(o.point)) for o in records]
+
+
+def _same_families(a, b):
+    """Every record of a has one in b of its period, with its action sum
+    within 1e-9 and its radius within 1e-7."""
+    return all(any(k == kb and abs(s - sb) < 1e-9 and abs(r - rb) < 1e-7 for kb, sb, rb in b)
+               for k, s, r in a)
+
+
+@pytest.mark.parametrize("name, n_r", [
+    ("m2_step", 6), ("twist_after_m3_step", 4), ("two_term_step", 4), ("m0_step", 4)])
+def test_crawl_rule_keeps_every_family(name, n_r):
+    # seeds that crawl linearly toward the flat support edge are dropped
+    # early; the search without that rule finds the same families
+    phi = {"m2_step": m2_step, "twist_after_m3_step": twist_after_m3_step}.get(
+        name, lambda: collar_map(name))()
+    new = periodic_points(phi, 2, n_r=n_r, n_theta=4)
+    assert sum(new.search["dropped_crawling"]) > 0
+    ref = _families(_seed_by_seed_periodic_points(phi, 2, n_r=n_r, n_theta=4, crawl=False))
+    assert _same_families(_families(new), ref) and _same_families(ref, _families(new))
 
 
 def _family_of(orbit, families, phi, accept_tol=1e-9):
@@ -702,23 +736,39 @@ def test_ham_plug_maps_match_term_formula_outputs():
     # it stopped at
     r_c = orbs[-1].r_lo
     assert orbs.search == {"k_max": 1, "method": "newton grid", "n_r": 4, "n_theta": 4,
-                           "accept_tol": 1e-9, "collar_radius": [r_c]}
+                           "accept_tol": 1e-9, "collar_radius": [r_c],
+                           "dropped_at_collar": [0], "dropped_crawling": [4]}
     assert orbs.note == ("newton grid, up to search completeness (k_max = 1, grid = 4x4, "
-                         f"identity collar from r = {r_c:.9g})")
+                         f"identity collar from r = {r_c:.9g}, seeds stepping into it or "
+                         "crawling toward it (two step ratios in [0.5, 1)) dropped)")
     assert (orbs[-1].r_hi, orbs[-1].residual) == (a, 0.0)
     assert all(o.r_lo == o.r_hi for o in orbs[:-1])
 
 
 def test_periodic_points_h2_work_count(monkeypatch):
-    # 11 Newton sweeps, one variational flow each, and one action flow for
-    # the kept points: seeds that crawl toward the flat support edge, or
-    # orbits flowed again after their settling sweep, would add flows
-    calls = []
+    # 5 Newton sweeps, one variational flow each, and one action flow for
+    # the kept points.  The four seeds of the r = 0.225 ring crawl toward
+    # the flat support edge, each step about 0.6 times the last (Newton's
+    # linear rate is 2/3 at the edge, a zero of multiplicity 3); in the
+    # fifth sweep the limit of their steps lies in the collar and they
+    # are dropped, where stepping into it took the eleventh.  Orbits
+    # flowed again after their settling sweep would add flows too.
+    flowed = []
     flow = diskmap_module.ode_flow
     monkeypatch.setattr(diskmap_module, "ode_flow",
-                        lambda *args: calls.append(args) or flow(*args))
-    periodic_points(h2_map(), 1, n_r=4, n_theta=4)
-    assert len(calls) == 12
+                        lambda *args: flowed.append(args[1].copy()) or flow(*args))
+    orbs = periodic_points(h2_map(), 1, n_r=4, n_theta=4)
+    assert len(flowed) == 6
+    # the variational flows carry z then the two columns of D phi, all complex
+    sweeps = [y[:y.size // 3].view(complex) for y in flowed[:-1]]
+    assert [z.size for z in sweeps] == [13, 8, 8, 8, 4]
+    ring = sweeps[0][np.abs(np.abs(sweeps[0]) - 0.225) < 1e-6]
+    assert ring.size == 4 == sum(orbs.search["dropped_crawling"])
+    assert orbs.search["dropped_at_collar"] == [0]
+    # the last sweep carries only the crawlers, still on the ring's rays
+    last = sweeps[-1]
+    assert np.all((0.29 < np.abs(last)) & (np.abs(last) < orbs.search["collar_radius"][0]))
+    assert np.max(np.abs(np.angle(last / ring))) < 0.02
 
 
 # ---------------------------------------------------------------------------
