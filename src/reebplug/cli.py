@@ -410,13 +410,17 @@ def _cmd_certify_sweep(args) -> int:
     eps_values = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     if len(eps_values) < 2:
         raise ValueError("sweep needs at least two eps values")
-    ell = args.ell
+    bad = [eps for eps in eps_values if not (math.isfinite(eps) and 0.0 < eps < 1.0)]
+    if bad:
+        raise ValueError(f"eps must be finite and in (0, 1), not {', '.join(map(repr, bad))}")
+    if args.ell < 1:
+        raise ValueError(f"ell must be at least 1, not {args.ell}")
     entries = []
     for eps in eps_values:
         # identity-map plug with pi R^2 = 0.81 eps: passes a3/a4 at eps
         radius = 0.9 * math.sqrt(eps / math.pi)
         plug = make_plug(DiskMap(radius, ()), 1.0)
-        inp = assemble(eps, (1.05,) * ell, (plug,) * ell, eps / 2.0,
+        inp = assemble(eps, (1.05,) * args.ell, (plug,) * args.ell, eps / 2.0,
                        k_max=args.kmax)
         cert = systolic_bound(inp)
         entries.append({"eps": eps, "ratio": float(cert.ratio_exact),
@@ -427,7 +431,7 @@ def _cmd_certify_sweep(args) -> int:
     ratios = [e["ratio"] for e in entries]
     increasing = all(b > a for a, b in zip(ratios, ratios[1:]))
     _write_json(_out_dir(args) / "sweep.json", {
-        "ell": ell, "entries": entries, "monotone_increasing": increasing,
+        "ell": args.ell, "entries": entries, "monotone_increasing": increasing,
         "context": {"areas": 1.05, "tau_bound": "eps / 2",
                     "k_max": args.kmax}})
     if not increasing:

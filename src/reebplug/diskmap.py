@@ -17,8 +17,8 @@ Every value of the calculus is a closed form per primitive, joined
 along the composition:
 
 - a twist has sigma(r) = -int_r^S s^2 rho'(s) / 2 ds and
-  CAL = -(pi/2) int_0^S r^4 rho'(r) dr, both exact Gauss sums over the
-  profile's knot intervals;
+  CAL = -(pi/2) int_0^S r^4 rho'(r) dr, both exact polynomial integrals
+  on the profile's pieces (from each piece's upper end: sigma(S) = 0);
 - a Hamiltonian step has sigma(z) = int_0^t (H + lam0(X_H))(phi_s z) ds,
   one extra row of its point flow, and CAL = 2 t int H, which only the
   m = 0 terms feed;
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -63,13 +63,10 @@ from .numerics import (
     PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
-    gauss_pieces,
     gauss_rule,
     ode_flow,
     resonances,
 )
-
-_GAUSS15 = gauss_rule(15)
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +216,37 @@ class RadialTwist:
         end = float(self.profile.values[-1])
         if abs(end - 2.0 * math.pi * round(end / (2.0 * math.pi))) > 1e-12:
             raise ValueError(f"twist profile ends at {end!r}, not in 2 pi Z")
-        # sigma at the knots, summed outside-in from sigma(support) = 0
-        knots = self.profile.knots
-        pieces = gauss_pieces(self._dsigma, knots[:-1], knots[1:])
-        sig = np.zeros(knots.size)
-        sig[:-1] = -np.cumsum(pieces[::-1])[::-1]
-        object.__setattr__(self, "_sigma_knots", sig)
 
     @property
     def support(self) -> float:
         return float(self.profile.knots[-1])
 
-    def _dsigma(self, r):
-        # sigma'(r) = r^2 rho'(r) / 2, a degree-4 polynomial per knot interval
-        return 0.5 * r * r * self.profile.derivative(r)
+    @cached_property
+    def _calculus(self) -> tuple[PiecewisePoly, np.ndarray, float]:
+        """sigma'(-r) = -r^2 (d/dr) rho(-r) / 2 on pieces built from the Hermite
+        data at their upper knot, so exact there (the profile's own pieces,
+        re-expanded, are not); sigma at those knots; CAL = -pi int r^2 sigma'."""
+        f = self.profile
+        rho = PiecewisePoly.from_hermite(-f.knots[None, ::-1],
+                                         [(f.values[None, ::-1], -f.derivs[None, ::-1])])
+        r2 = rho.radius() * rho.radius()
+        dsigma = rho.derivative() * (r2 * -0.5)
+        whole = dsigma.integral_from_lo(np.arange(dsigma.lo.size), dsigma.hi)
+        return (dsigma, np.concatenate([[0.0], -np.cumsum(whole[:-1])]),
+                -math.pi * (dsigma * r2).integral())
 
     def action(self, z):
-        """lam0-action sigma(|z|) = -int_|z|^support s^2 rho'(s) / 2 ds, exactly."""
+        """lam0-action sigma(|z|) = -int_|z|^support s^2 rho'(s) / 2 ds, exactly:
+        each partial piece integrated from its upper end, so sigma(support) = 0."""
+        dsigma, upper, _ = self._calculus
         knots = self.profile.knots
         r = np.clip(np.abs(np.asarray(z)), knots[0], knots[-1])
-        idx = np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
-        return self._sigma_knots[idx + 1] - gauss_pieces(self._dsigma, r, knots[idx + 1])
+        j = knots.size - 2 - np.clip(np.searchsorted(knots, r, side="right") - 1, 0, knots.size - 2)
+        return upper[j] - dsigma.integral_from_lo(j, -r)
 
     def calabi(self) -> float:
-        """CAL = int 2 pi r sigma dr = -(pi/2) int r^4 rho'(r) dr (by parts), exactly."""
-        knots = self.profile.knots
-        pieces = gauss_pieces(lambda r: r ** 4 * self.profile.derivative(r),
-                              knots[:-1], knots[1:])
-        return float(-0.5 * math.pi * np.sum(pieces))
+        """CAL = -(pi/2) int r^4 rho'(r) dr = -pi int r^2 sigma' dr, exactly."""
+        return self._calculus[2]
 
     def evaluate(self, z):
         r = np.abs(z)
@@ -427,11 +427,7 @@ class DiskMap:
         if not self.primitives:
             return RadialFunction(np.array([0.0, self.radius]), np.zeros(2),
                                   np.zeros(2), parity="even")
-        profiles = [p.profile for p in self.primitives]
-        total = profiles[0]
-        for q in profiles[1:]:
-            total = total + q
-        return total
+        return sum((p.profile for p in self.primitives[1:]), self.primitives[0].profile)
 
     def evaluate(self, z):
         z = np.asarray(z, dtype=complex)
@@ -578,7 +574,7 @@ class ActionField:
     def _line_integral(self, curve, edges, speed: float) -> float:
         """int (phi*lam - lam)(c(t); c'(t)) dt across the increasing or decreasing
         parameter edges, in 15-point Gauss panels at most _H_MAX long."""
-        x15, w15 = _GAUSS15
+        x15, w15 = gauss_rule(15)
         fine = [edges[0]]
         for a, b in zip(edges[:-1], edges[1:]):
             m = max(1, int(math.ceil(abs(b - a) * speed / self._H_MAX)))

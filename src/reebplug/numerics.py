@@ -689,6 +689,15 @@ class PiecewisePoly:
         w = 1.0 / np.arange(1, self.coef.shape[1] + 1)
         return float(np.sum((self.hi - self.lo) * (self.coef @ w)))
 
+    def integral_from_lo(self, i, x) -> np.ndarray:
+        """int_lo[i]^x of piece i, for indices i and points x of those pieces:
+        (hi - lo) t sum_k coef[i, k] t^k / (k + 1) at the local t of x,
+        exactly 0 at x = lo[i] and small in proportion near it."""
+        h = self.hi[i] - self.lo[i]
+        t = (x - self.lo[i]) / h
+        q = self.coef[i] / np.arange(1, self.coef.shape[1] + 1)
+        return h * t * np.polynomial.polynomial.polyval(t, np.moveaxis(q, -1, 0), tensor=False)
+
     # -- decisions ----------------------------------------------------
 
     def _core_factored(self, *others: "PiecewisePoly"):
@@ -918,23 +927,9 @@ def gauss_rule(n: int):
     return x, w
 
 
-def gauss_pieces(fn, lo, hi, npts: int = 5):
-    """int_lo^hi fn for each pair of bounds, by one npts-point Gauss panel
-    apiece; fn sees the nodes as one flat array.
-
-    Exact (to rounding) when fn is a polynomial of degree <= 2*npts - 1 on
-    every [lo, hi]; five points cover powers of r times a piecewise
-    cubic's slope.
-    """
-    x, w = gauss_rule(npts)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = mid[..., None] + half[..., None] * x
-    return half * (np.reshape(fn(nodes.ravel()), nodes.shape) @ w)
-
-
 def gauss_piecewise(fn, breakpoints, a: float, b: float, npts: int = 5) -> float:
     """Composite Gauss quadrature of fn over [a, b], split at breakpoints:
-    the sum of `gauss_pieces` over the split intervals.
+    one npts-point panel per interval; fn sees the nodes as one flat array.
 
     Exact (to rounding) when fn is a polynomial of degree <= 2*npts - 1 on
     each subinterval; that covers products of piecewise cubics.
@@ -944,7 +939,10 @@ def gauss_piecewise(fn, breakpoints, a: float, b: float, npts: int = 5) -> float
     pts = np.asarray(breakpoints, dtype=float)
     pts = pts[(pts > a) & (pts < b)]
     edges = np.concatenate([[a], np.unique(pts), [b]])
-    return float(np.sum(gauss_pieces(fn, edges[:-1], edges[1:], npts)))
+    x, w = gauss_rule(npts)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * x
+    return float(np.sum(half * (np.reshape(fn(nodes.ravel()), nodes.shape) @ w)))
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,8 @@ def orbit_enumerate(form: RotForm, t_max: float, q_max: int) -> OrbitSearch:
     suprema of |d'|/W and |c'|/W.  Every record is re-verified by
     closing the exact flow to 1e-8 in both angles.
     """
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be finite and positive, not {t_max!r}")
     if q_max < 0:
         raise ValueError("q_max must be >= 0")
     cp, dp, W = form._decided

@@ -131,6 +131,17 @@ def test_parser_shared_without_leaking_arguments(tmp_path):
     assert (tmp_path / "b" / "tau.svg").exists()
 
 
+@pytest.mark.parametrize("tmax", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("command", ["orbits", "analyze"])
+def test_rotorus_refuses_a_bad_tmax(tmp_path, capsys, command, tmax):
+    assert run(DESIGN + ["--format", "json"], tmp_path) == 0
+    capsys.readouterr()
+    assert main(["rotorus", command, str(tmp_path / "binding_form.json"),
+                 "--tmax", tmax, "--out", str(tmp_path / "r")]) == 2
+    assert f"t_max must be finite and positive, not {float(tmax)!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists() or not list((tmp_path / "r").iterdir())
+
+
 def test_rotorus_analyze_binding(tmp_path):
     assert run(DESIGN, tmp_path) == 0
     rc = main(["rotorus", "analyze", str(tmp_path / "binding_form.json"),
@@ -435,6 +446,23 @@ def test_certify_sweep_monotone(tmp_path, capsys):
     assert sweep["monotone_increasing"] is True
     assert ratios == sorted(ratios)
     assert ratios[0] == pytest.approx(24.5025, rel=1e-12)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--ell", "0"], "ell must be at least 1, not 0"),
+    (["--eps", "2,1.5"], "not 2.0, 1.5"),
+    (["--eps", "0.01,-0.5"], "not -0.5"),
+    (["--eps", "0.01,nan"], "not nan"),
+    (["--eps", "inf,0.01"], "not inf"),
+], ids=["ell0", "above1", "negative", "nan", "inf"])
+def test_certify_sweep_refuses_bad_input(tmp_path, capsys, monkeypatch, flags, named):
+    # refused before any plug is built: exit 2, a message naming the value
+    built = []
+    monkeypatch.setattr(cli_module, "make_plug", lambda *a, **kw: built.append(a))
+    assert main(["certify", "sweep", *flags, "--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "sweep.json").exists()
 
 
 def test_missing_input_is_config_error(tmp_path, capsys):
