@@ -209,8 +209,6 @@ class RadialTwist:
     profile: RadialFunction
 
     def __post_init__(self):
-        if self.profile.parity != "even":
-            raise ValueError("twist profile must have even parity")
         # past its support the twist rotates by the last value, which must be
         # a whole number of turns for the map to be the identity there
         end = float(self.profile.values[-1])
@@ -227,8 +225,7 @@ class RadialTwist:
         data at their upper knot, so exact there (the profile's own pieces,
         re-expanded, are not); sigma at those knots; CAL = -pi int r^2 sigma'."""
         f = self.profile
-        rho = PiecewisePoly.from_hermite(-f.knots[None, ::-1],
-                                         [(f.values[None, ::-1], -f.derivs[None, ::-1])])
+        rho = PiecewisePoly.from_hermite(-f.knots[::-1], [(f.values[::-1], -f.derivs[::-1])])
         r2 = rho.radius() * rho.radius()
         dsigma = rho.derivative() * (r2 * -0.5)
         whole = dsigma.integral_from_lo(np.arange(dsigma.lo.size), dsigma.hi)
@@ -425,8 +422,7 @@ class DiskMap:
         if not self.is_radial:
             raise ValueError("combined_profile needs a purely radial map")
         if not self.primitives:
-            return RadialFunction(np.array([0.0, self.radius]), np.zeros(2),
-                                  np.zeros(2), parity="even")
+            return RadialFunction(np.array([0.0, self.radius]), np.zeros(2), np.zeros(2))
         return sum((p.profile for p in self.primitives[1:]), self.primitives[0].profile)
 
     def evaluate(self, z):
@@ -515,13 +511,6 @@ class PrimitiveOneForm:
             return lam0
         g = _terms_jet(self.u_terms, z, 1)[1]
         return lam0 + np.real(g) * np.real(v) + np.imag(g) * np.imag(v)
-
-    def to_dict(self) -> dict:
-        return {"u_terms": [t.to_dict() for t in self.u_terms]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PrimitiveOneForm":
-        return cls(tuple(BumpHarmonic.from_dict(t) for t in d.get("u_terms", ())))
 
 
 LAM0 = PrimitiveOneForm()

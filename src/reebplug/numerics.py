@@ -3,10 +3,11 @@ kernel that evaluates, integrates and decides their signs, the resonance
 solver behind both orbit searches (rotational forms, radial disk maps),
 quadrature, ODE flows, root finding.
 
-A RadialFunction is Hermite data (knots, values, slopes, parity) in
-front of one PiecewisePoly: the cubics those data define, built once on
-first use.  Its one evaluator reads the value and both derivatives from
-those pieces, and the decided checks read the very same pieces.
+A RadialFunction is even Hermite data (one row of knots, values and
+slopes on r >= 0, flat outside the knots) in front of one PiecewisePoly:
+the cubics those data define, built once on first use.  Its one
+evaluator reads the value and both derivatives from those pieces, and
+the decided checks read the very same pieces.
 
 Everything here is deterministic: fixed quadrature ladders, fixed step
 acceptance rules, no randomness.  Adaptive quadrature, the ODE stepper
@@ -75,46 +76,27 @@ class OdeResult:
 # Radial Hermite functions
 # ---------------------------------------------------------------------------
 
-_PARITIES = ("even", "odd", "none")
-
-
-def check_hermite(knots, values, derivs, parity: str) -> None:
-    """Raise ValueError unless the Hermite data make a RadialFunction of
-    the given parity; checks one row of knots, or (k, n) rows at once."""
-    if not all(np.all(np.isfinite(a)) for a in (knots, values, derivs)):
-        raise ValueError("non-finite data")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    if parity not in _PARITIES:
-        raise ValueError(f"parity must be one of {_PARITIES}")
-    at0 = knots[..., 0] == 0.0
-    if parity == "even" and np.any(at0 & (np.abs(derivs[..., 0]) > 1e-12)):
-        raise ValueError("even parity requires f'(0) = 0")
-    if parity == "odd" and np.any(at0 & (np.abs(values[..., 0]) > 1e-12)):
-        raise ValueError("odd parity requires f(0) = 0")
-
-
 @dataclass(frozen=True)
 class RadialFunction:
-    """Piecewise cubic Hermite function of the radius, C1 on its knot range.
+    """Even piecewise cubic Hermite function of the radius r >= 0, C1 on its knots.
 
-    Stores (value, derivative) pairs at strictly increasing knots, its
+    Stores (value, derivative) pairs at strictly increasing knots >= 0, its
     serialized form; each piece is the unique cubic matching the endpoint
     data, so a cubic polynomial sampled this way is reproduced exactly.
     The pieces are the PiecewisePoly these data define, built once on
     first use and shared with `PiecewisePoly.from_radial`; one evaluator
-    serves the value and both derivatives.  Outside the knot range the
-    function is extended with the boundary value and zero slope (profiles
-    are built so that the extension is C1 where it is actually used).
-    The parity tag states the smooth extension through r = 0: even forces
-    f'(0) = 0, odd forces f(0) = 0; with a first knot at 0, negative
-    radii are folded through it.
+    serves the value and both derivatives.  Outside the knot range, below
+    the first knot as past the last, the function is extended with the
+    boundary value and zero slope (profiles are built so that the
+    extension is C1 where it is actually used).  Every radial quantity of
+    the construction is smooth on the disk, hence even in r: `parity` is
+    always "even", and a first knot at 0 needs f'(0) = 0.
     """
 
     knots: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-    parity: str = "none"
+    parity: str = "even"
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -124,7 +106,14 @@ class RadialFunction:
             raise ValueError("need at least two knots")
         if values.shape != knots.shape or derivs.shape != knots.shape:
             raise ValueError("knots, values, derivs must have equal shape")
-        check_hermite(knots, values, derivs, self.parity)
+        if not all(np.all(np.isfinite(a)) for a in (knots, values, derivs)):
+            raise ValueError("non-finite data")
+        if knots[0] < 0.0 or np.any(np.diff(knots) <= 0):
+            raise ValueError("knots must be >= 0 and strictly increasing")
+        if self.parity != "even":
+            raise ValueError(f"parity must be 'even', not {self.parity!r}")
+        if knots[0] == 0.0 and abs(derivs[0]) > 1e-12:
+            raise ValueError("even parity requires f'(0) = 0")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivs", derivs)
@@ -143,36 +132,24 @@ class RadialFunction:
         ders = amplitude * power * (1.0 - u) ** (power - 1) * (-2.0 * r / support ** 2)
         vals[-1] = 0.0
         ders[-1] = 0.0
-        return cls(r, vals, ders, parity="even")
+        return cls(r, vals, ders)
 
     @functools.cached_property
     def _pieces(self) -> "PiecewisePoly":
         """The Hermite cubics of the knot data, read-only."""
-        p = PiecewisePoly.from_hermite(self.knots[None], [(self.values[None], self.derivs[None])])
+        p = PiecewisePoly.from_hermite(self.knots, [(self.values, self.derivs)])
         for a in (p.lo, p.hi, p.coef, p.err):
             a.setflags(write=False)
         return p
-
-    @property
-    def _folds(self) -> bool:
-        """Whether negative radii are folded through r = 0."""
-        return self.parity != "none" and self.knots[0] == 0.0
 
     # -- evaluation ---------------------------------------------------
 
     def _eval(self, x, order: int):
         """The order-th derivative (0, 1 or 2; the second one-sided, as a
-        right limit) at x, from the pieces: folded by parity at r < 0 (the
-        sign flips when the parity is odd XOR the order is), flat past
-        the knots."""
+        right limit) at x, from the pieces, flat outside the knots."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        fold = self._folds
-        if fold:
-            flip = (self.parity == "odd") != (order % 2 == 1)
-            sgn = np.where(x < 0.0, -1.0 if flip else 1.0, 1.0)
-            x = np.abs(x)
         p = self._pieces
         lo, hi = self.knots[0], self.knots[-1]
         xc = np.clip(x, lo, hi)
@@ -190,8 +167,6 @@ class RadialFunction:
         else:
             out = (2.0 * c[:, 2] + 6.0 * c[:, 3] * t) / h ** 2
         out = np.where(x < lo, below, np.where(x > hi, above, out))
-        if fold:
-            out = out * sgn
         return float(out[0]) if scalar else out
 
     def __call__(self, x):
@@ -208,13 +183,9 @@ class RadialFunction:
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b] of the function as evaluated: the
-        pieces, the flat extension, and the parity fold below r = 0."""
+        pieces and the flat extension on both sides."""
         if b < a:
             return -self.integral(b, a)
-        if a < 0.0 and self._folds:
-            # f(-r) = sign f(r) on [a, min(b, 0)]
-            sign = -1.0 if self.parity == "odd" else 1.0
-            return sign * self.integral(-min(b, 0.0), -a) + self.integral(0.0, max(b, 0.0))
         lo, hi = self.knots[0], self.knots[-1]
         total = 0.0
         if a < lo:
@@ -229,21 +200,14 @@ class RadialFunction:
     def scaled(self, factor: float, arg_scale: float = 1.0) -> "RadialFunction":
         """factor * f(r / arg_scale) as a new RadialFunction."""
         return RadialFunction(self.knots * arg_scale, self.values * factor,
-                              self.derivs * (factor / arg_scale), self.parity)
+                              self.derivs * (factor / arg_scale))
 
     def __add__(self, other: "RadialFunction") -> "RadialFunction":
         if not isinstance(other, RadialFunction):
             return NotImplemented
         knots = np.union1d(self.knots, other.knots)
-        vals = self(knots) + other(knots)
-        ders = self.derivative(knots) + other.derivative(knots)
-        parity = self.parity if self.parity == other.parity else "none"
-        return RadialFunction(knots, vals, ders, parity)
-
-    def __mul__(self, scalar: float) -> "RadialFunction":
-        return RadialFunction(self.knots, self.values * scalar, self.derivs * scalar, self.parity)
-
-    __rmul__ = __mul__
+        return RadialFunction(knots, self(knots) + other(knots),
+                              self.derivative(knots) + other.derivative(knots))
 
     # -- serialization ------------------------------------------------
 
@@ -253,8 +217,9 @@ class RadialFunction:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RadialFunction":
+        """The function of `to_dict`; any "parity" but "even", or none, is refused."""
         return cls(np.array(d["knots"], float), np.array(d["values"], float),
-                   np.array(d["derivs"], float), d.get("parity", "none"))
+                   np.array(d["derivs"], float), d.get("parity"))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +463,7 @@ class PiecewisePoly:
         if len(fns) == 1 and (upto is None or x[-1] >= upto):
             return fns[0]._pieces
         same = [np.array_equal(fn.knots, x) for fn in fns]
-        p = cls.from_hermite(x[None], [(fn.values[None], fn.derivs[None])
-                                       for fn, s in zip(fns, same) if s], upto)
+        p = cls.from_hermite(x, [(fn.values, fn.derivs) for fn, s in zip(fns, same) if s], upto)
         for fn, s in zip(fns, same):
             if not s:
                 p = p + cls.from_radial(fn, upto=upto)
@@ -507,12 +471,12 @@ class PiecewisePoly:
 
     @classmethod
     def from_hermite(cls, x, terms, upto: float | None = None) -> "PiecewisePoly":
-        """One function per row of the knots x (k, n), their pieces in order.
+        """The Hermite cubics of one function on the knots x, in order.
 
         Each term is a pair (values, derivatives) of arrays shaped like x,
-        and a function's Hermite data are the sums of its rows over the
-        terms, each sum's rounding error found exactly (TwoSum).  `upto`
-        extends each row's last value flat beyond its last knot.
+        and the function's Hermite data are their sums, each sum's
+        rounding error found exactly (TwoSum).  An `upto` past the last
+        knot appends one piece holding the last value flat up to it.
         """
         v, d = terms[0]
         ev, ed = np.zeros_like(v), np.zeros_like(d)
@@ -521,29 +485,26 @@ class PiecewisePoly:
             d, e2 = _two_sum(d, td)
             ev, ed = ev + e1, ed + e2
         p = cls._hermite(x, v, ev, d, ed)
-        ext = np.flatnonzero(x[:, -1] < upto) if upto is not None else []
-        if not len(ext):
+        if upto is None or x[-1] >= upto:
             return p
-        at = (ext + 1) * (x.shape[1] - 1)
-        return cls(np.insert(p.lo, at, x[ext, -1]), np.insert(p.hi, at, upto),
-                   np.insert(p.coef, at, _pad(v[ext, -1:], 4), axis=0),
-                   np.insert(p.err, at, _pad(ev[ext, -1:], 4), axis=0))
+        return cls(np.append(p.lo, x[-1]), np.append(p.hi, upto),
+                   np.vstack([p.coef, _pad(v[None, -1:], 4)]),
+                   np.vstack([p.err, _pad(ev[None, -1:], 4)]))
 
     @classmethod
     def _hermite(cls, x, v, ev, d, ed) -> "PiecewisePoly":
-        """Hermite cubics of rows of knot data (with data error bounds)."""
-        h, eh = _add(x[:, 1:], 0.0, -x[:, :-1], 0.0)
-        v0, v1, ev0, ev1 = v[:, :-1], v[:, 1:], ev[:, :-1], ev[:, 1:]
-        d0, d1, ed0, ed1 = d[:, :-1], d[:, 1:], ed[:, :-1], ed[:, 1:]
+        """Hermite cubics of one row of knot data (with data error bounds)."""
+        h, eh = _add(x[1:], 0.0, -x[:-1], 0.0)
+        v0, v1, ev0, ev1 = v[:-1], v[1:], ev[:-1], ev[1:]
+        d0, d1, ed0, ed1 = d[:-1], d[1:], ed[:-1], ed[1:]
         dv, edv = _add(v1, ev1, -v0, ev0)
         a1, ea1 = _mul(h, eh, d0, ed0)
         s2, es2 = _mul(h, eh, *_add(2.0 * d0, 2.0 * ed0, d1, ed1))
         a2, ea2 = _add(*_mul(3.0, 0.0, dv, edv), -s2, es2)
         s3, es3 = _mul(h, eh, *_add(d0, ed0, d1, ed1))
         a3, ea3 = _add(*_mul(-2.0, 0.0, dv, edv), s3, es3)
-        return cls(x[:, :-1].ravel(), x[:, 1:].ravel(),
-                   np.stack([v0, a1, a2, a3], axis=-1).reshape(-1, 4),
-                   np.stack([ev0, ea1, ea2, ea3], axis=-1).reshape(-1, 4))
+        return cls(x[:-1], x[1:], np.stack([v0, a1, a2, a3], axis=1),
+                   np.stack([ev0, ea1, ea2, ea3], axis=1))
 
     def radius(self) -> "PiecewisePoly":
         """The radius r itself on the same pieces."""
@@ -828,7 +789,8 @@ class PiecewisePoly:
         each monotone part whose end values have opposite signs holds one
         root, located by safeguarded Newton steps.  A root on a shared
         knot or at a tangency is reported once, and pieces that vanish
-        identically contribute none.  As in `failures`, exact zeros at
+        identically contribute none, and a root within one ulp of a
+        piece's upper knot is that knot.  As in `failures`, exact zeros at
         r = 0 are factored out first, so a root that parity forces at
         the core is not reported.
 
@@ -846,7 +808,10 @@ class PiecewisePoly:
             t = np.concatenate([t, np.full((t.shape[0], 5), np.nan)], axis=1)
             t[cubic] = _cubic_roots(c[cubic, :4], _pad(p.err, 4)[cubic, :4])
         ok = (t >= -_ROOT_SLACK) & (t <= 1.0 + _ROOT_SLACK)
-        r = self.lo[:, None] + np.clip(t, 0.0, 1.0) * (self.hi - self.lo)[:, None]
+        hi = self.hi[:, None]
+        r = self.lo[:, None] + np.clip(t, 0.0, 1.0) * (hi - self.lo[:, None])
+        # a root at t = 1 can round one ulp inside the knot: report the knot
+        r = np.where(np.abs(hi - r) <= np.abs(np.spacing(hi)), hi, r)
         g = np.zeros(self.lo.size, dtype=int) if groups is None else np.asarray(groups)
         r, rg = r[ok], np.broadcast_to(g[:, None], ok.shape)[ok]
         order = np.lexsort((r, rg))

@@ -382,12 +382,12 @@ def realize_rotational(rho: RadialFunction, L: float, R: float,
         j = np.clip(np.searchsorted(knots, grid), 1, knots.size - 1)
         near = np.minimum(np.abs(grid - knots[j - 1]), np.abs(grid - knots[j]))
         knots = np.union1d(grid[near > 1e-6 * R / (n_knots - 1)], knots)
-    c = RadialFunction(knots, 0.5 * knots ** 2, knots, parity="even")
+    c = RadialFunction(knots, 0.5 * knots ** 2, knots)
     rho_k = rho(knots)
     rho_k[np.searchsorted(knots, rho.knots)] = rho.values
     d_vals = (L + sigma.radial_profile(knots) - 0.5 * rho_k * knots ** 2) / L
     d_ders = -rho_k * knots / L
-    d = RadialFunction(knots, d_vals, d_ders, parity="even")
+    d = RadialFunction(knots, d_vals, d_ders)
     form = RotForm(R, L, c, d)
     contact_check(form)
     return form

@@ -307,10 +307,10 @@ def design_profile(params: ProfileParams) -> ProfileCurve:
 
     knots = np.array([0.0, r_arc, p.r0, r_m, p.r1, p.rho])
     f = RadialFunction(knots, np.array([0.0, f_arc, f0, 1.0, 1.0, 1.0]),
-                       np.array([0.0, 2.0 * r_arc, df0, 0.0, 0.0, 0.0]), parity="even")
+                       np.array([0.0, 2.0 * r_arc, df0, 0.0, 0.0, 0.0]))
     g = RadialFunction(knots, np.array([line, line - f_arc, line - f0, y_m, g_r1, g_rho]),
                        np.array([0.0, -2.0 * r_arc, -df0, -v_m, -2.0 * p.s * p.r1,
-                                 -2.0 * p.s * p.rho]), parity="even")
+                                 -2.0 * p.s * p.rho]))
     curve = ProfileCurve(f, g, p)
     bad = curve.report.first_failure()
     if bad is not None:
@@ -404,7 +404,7 @@ def to_rotform(curve: ProfileCurve) -> RotForm:
     """
     p = curve.params
     kappa = 1.0 / (DISK_PERIOD * (1.0 + p.delta))
-    form = RotForm(p.rho, DISK_PERIOD, curve.f * kappa, curve.g * kappa,
+    form = RotForm(p.rho, DISK_PERIOD, curve.f.scaled(kappa), curve.g.scaled(kappa),
                    kappa=kappa)
     contact_check(form)
     return form

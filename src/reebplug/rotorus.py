@@ -66,8 +66,6 @@ class RotForm:
     def __post_init__(self):
         if not (self.radius > 0.0 and self.core_period > 0.0):
             raise ValueError("radius and core_period must be positive")
-        if self.c.parity != "even" or self.d.parity != "even":
-            raise ValueError("coefficients must be even radial functions")
         if abs(float(self.c(0.0))) > 1e-12:
             raise ValueError("smoothness at the core requires c(0) = 0")
         if float(self.c.second_derivative(0.0)) <= 0.0:

@@ -471,6 +471,18 @@ def test_missing_input_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("parity", ["odd", "none"])
+def test_rotorus_analyze_refuses_a_non_even_form(tmp_path, capsys, parity):
+    assert run(DESIGN + ["--format", "json"], tmp_path) == 0
+    form = json.loads((tmp_path / "binding_form.json").read_text())
+    form["d"]["parity"] = parity
+    (tmp_path / "form.json").write_text(json.dumps(form))
+    capsys.readouterr()
+    assert main(["rotorus", "analyze", str(tmp_path / "form.json"),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert f"parity must be 'even', not {parity!r}" in capsys.readouterr().err
+
+
 def test_bad_format_is_config_error(tmp_path, capsys):
     assert run(DESIGN + ["--format", "docx"], tmp_path) == 2
     assert "unknown output format" in capsys.readouterr().err

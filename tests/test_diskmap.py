@@ -528,6 +528,21 @@ def test_radial_families_identity_tail():
     assert (families[0].period, families[0].r_hi) == (1, 0.0)
 
 
+@pytest.mark.parametrize("amplitude, support, radius", [(-4.0, 1.0, 1.0), (-1.0, 0.3, 0.3),
+                                                        (-1.0, 0.3, 0.5)])
+def test_negative_calabi_twist_has_a_mean_action_witness(amplitude, support, radius):
+    # Hutchings (J. Modern Dynamics 10, 2016): a map with CAL < 0 has a
+    # periodic orbit of mean action at most CAL / (pi R^2).  For a bump
+    # twist the fixed origin is one: sigma(0) = a S^2 / 8 against
+    # CAL / (pi R^2) = a S^4 / (20 R^2)
+    phi = DiskMap(radius, (RadialTwist(RadialFunction.bump(amplitude, support)),))
+    mean = calabi(phi) / (np.pi * radius ** 2)
+    assert mean < 0.0
+    witness = min(o.action_sum / o.period for o in periodic_points(phi, 1))
+    assert witness <= mean
+    assert witness == pytest.approx(amplitude * support ** 2 / 8.0, rel=1e-9)
+
+
 def test_radial_periodic_points_evaluate_no_map(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the radial search evaluated the map")

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from reebplug.numerics import (
     PiecewisePoly,
     QuadratureSpec,
     RadialFunction,
-    check_hermite,
     find_root_1d,
     gauss_piecewise,
     integrate_1d,
@@ -79,9 +79,9 @@ def test_gauss_piecewise_exact_for_products():
 # RadialFunction
 # ---------------------------------------------------------------------------
 
-def _quadratic_rf(n=9, parity="even"):
+def _quadratic_rf(n=9):
     r = np.linspace(0.0, 1.0, n)
-    return RadialFunction(r, r * r, 2.0 * r, parity=parity)
+    return RadialFunction(r, r * r, 2.0 * r)
 
 
 def test_radial_function_reproduces_knot_data():
@@ -99,12 +99,13 @@ def test_radial_function_reproduces_knot_data():
 
 
 def test_radial_function_cubic_exact():
-    # a cubic sampled at knots is reproduced exactly between knots
+    # a cubic sampled at knots is reproduced exactly between knots (its
+    # slope at 0 is not 0, so the knots start past 0)
     p = np.polynomial.Polynomial([0.3, -1.0, 2.0, 0.7])
     dp = p.deriv()
-    knots = np.array([0.0, 0.4, 1.1, 2.0])
+    knots = np.array([0.1, 0.4, 1.1, 2.0])
     rf = RadialFunction(knots, p(knots), dp(knots))
-    x = np.linspace(0.0, 2.0, 400)
+    x = np.linspace(0.1, 2.0, 400)
     assert np.max(np.abs(rf(x) - p(x))) < 1e-13
     assert np.max(np.abs(rf.derivative(x) - dp(x))) < 1e-12
 
@@ -122,41 +123,54 @@ def test_radial_function_c1_at_knots():
 
 
 def test_radial_function_parity_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even parity"):
         RadialFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                        np.array([1.0, 0.0]), parity="even")
-    with pytest.raises(ValueError):
-        RadialFunction(np.array([0.0, 1.0]), np.array([0.5, 1.0]),
-                       np.array([0.0, 0.0]), parity="odd")
+    # every radial function is even: no other parity is accepted, from a
+    # caller or from a file, nor is a file without one
+    data = _quadratic_rf().to_dict()
+    assert data["parity"] == "even"
+    assert RadialFunction.from_dict(data).to_dict() == data
+    for parity in ("odd", "none"):
+        with pytest.raises(ValueError, match="parity must be 'even'"):
+            RadialFunction(np.array([0.0, 1.0]), np.array([0.5, 1.0]),
+                           np.array([0.0, 0.0]), parity=parity)
+        with pytest.raises(ValueError, match="parity must be 'even'"):
+            RadialFunction.from_dict({**data, "parity": parity})
+    del data["parity"]
+    with pytest.raises(ValueError, match="parity must be 'even'"):
+        RadialFunction.from_dict(data)
 
 
-def test_radial_function_even_reflection():
-    # f(-r) = sign f(r), f'(-r) = -sign f'(r), f''(-r) = sign f''(r), with
-    # sign 1 for the even r^2 and -1 for the odd r^3 (f''(-1/2) = -3)
-    r = np.linspace(0.0, 1.0, 9)
-    odd = RadialFunction(r, r ** 3, 3.0 * r * r, parity="odd")
-    for rf, sign in ((_quadratic_rf(), 1.0), (odd, -1.0)):
-        assert abs(rf(-0.5) - sign * rf(0.5)) < 1e-14
-        assert abs(rf.derivative(-0.5) + sign * rf.derivative(0.5)) < 1e-14
-        assert abs(rf.second_derivative(-0.5) - sign * rf.second_derivative(0.5)) < 1e-14
-    assert odd.second_derivative(-0.5) == pytest.approx(-3.0, abs=1e-12)
+def test_radial_function_refuses_bad_hermite_data():
+    x = np.array([0.0, 0.5, 1.0])
+    v, d = np.ones_like(x), np.zeros_like(x)
+    RadialFunction(x, v, d)
+    with pytest.raises(ValueError, match="even parity"):
+        RadialFunction(x, v, np.array([1.0, 0.0, 0.0]))
+    for bad in ([0.0, 0.5, 0.5], [-0.5, 0.0, 0.5]):
+        with pytest.raises(ValueError, match=">= 0 and strictly increasing"):
+            RadialFunction(np.array(bad), v, d)
+    with pytest.raises(ValueError, match="non-finite"):
+        RadialFunction(x, v, np.array([np.nan, 0.0, 0.0]))
 
 
 def test_radial_function_constant_extension():
     rf = RadialFunction.bump(2.0, 0.7, power=3)
     assert rf(0.9) == 0.0
     assert rf.derivative(0.9) == 0.0
+    # below the first knot, the first value with zero slope
+    r = np.linspace(0.2, 1.0, 5)
+    rf = RadialFunction(r, r * r, 2.0 * r)
+    assert rf(0.1) == rf(-0.5) == rf.values[0]
+    assert rf.derivative(0.1) == rf.second_derivative(0.1) == 0.0
+    assert rf.integral(-0.5, 0.2) == 0.7 * rf.values[0]
 
 
 def test_radial_function_integral_exact():
     rf = _quadratic_rf()
     assert abs(rf.integral(0.0, 1.0) - 1.0 / 3.0) < 1e-14
     assert abs(rf.integral(0.2, 0.9) - (0.9 ** 3 - 0.2 ** 3) / 3.0) < 1e-14
-    # below r = 0 the integral follows the parity fold of the evaluation
-    r = np.linspace(0.0, 1.0, 9)
-    odd = RadialFunction(r, r ** 3, 3.0 * r * r, parity="odd")
-    assert abs(rf.integral(-0.5, 0.9) - (0.9 ** 3 + 0.5 ** 3) / 3.0) < 1e-14
-    assert abs(odd.integral(-0.5, 0.9) - (0.9 ** 4 - 0.5 ** 4) / 4.0) < 1e-14
 
 
 def test_radial_function_add_and_scale():
@@ -165,7 +179,7 @@ def test_radial_function_add_and_scale():
     s = a + b
     x = np.linspace(0.0, 1.0, 301)
     assert np.max(np.abs(s(x) - (a(x) + b(x)))) < 1e-13
-    assert np.max(np.abs((2.0 * a)(x) - 2.0 * a(x))) < 1e-14
+    assert np.max(np.abs(a.scaled(2.0)(x) - 2.0 * a(x))) < 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -315,6 +329,14 @@ def _exact_leading_zeros_removed(a):
     return a[z:]
 
 
+# Hermite data of one function, with no parity asked of them
+Hermite = namedtuple("Hermite", "knots values derivs")
+
+
+def _pieces(fn):
+    return PiecewisePoly.from_hermite(fn.knots, [(fn.values, fn.derivs)])
+
+
 def _random_hermite(rng, at_core: bool, knots=None):
     """Full-precision random data (every float is a dyadic rational, so the
     exact reference sees the same numbers); at_core starts at 0 with
@@ -326,7 +348,7 @@ def _random_hermite(rng, at_core: bool, knots=None):
     d = rng.uniform(-3.0, 3.0, size=knots.size)
     if at_core:
         v[0] = d[0] = 0.0
-    return RadialFunction(knots, v, d)
+    return Hermite(knots, v, d)
 
 
 def _exact_pieces(fn):
@@ -388,7 +410,7 @@ def test_positive_never_contradicts_exact_sign(seed):
     rng = np.random.default_rng(seed)
     f = _random_hermite(rng, at_core=seed % 3 == 0)
     g = _random_hermite(rng, at_core=False, knots=f.knots)
-    F, G = PiecewisePoly.from_radial(f), PiecewisePoly.from_radial(g)
+    F, G = _pieces(f), _pieces(g)
     ef, eg = _exact_pieces(f), _exact_pieces(g)
     efp = _exact_derivative(ef, f.knots)
     # a shift that makes F^2 + shift vanish at a knot, up to the rounding of v^2
@@ -412,7 +434,7 @@ def test_positive_never_contradicts_exact_sign(seed):
     cases.append((cut, _exact_on(ef, f.knots, cut.lo, cut.hi)))
     h = _random_hermite(rng, at_core=False,
                         knots=np.sort(rng.uniform(f.knots[0], f.knots[-1], size=3)))
-    both = F.restrict(h.knots[0], h.knots[-1]) + PiecewisePoly.from_radial(h)
+    both = F.restrict(h.knots[0], h.knots[-1]) + _pieces(h)
     eh = _exact_pieces(h)
     cases.append((both, [[p + q for p, q in zip(u, w)] for u, w in zip(
         _exact_on(ef, f.knots, both.lo, both.hi), _exact_on(eh, h.knots, both.lo, both.hi))]))
@@ -436,7 +458,7 @@ def test_positive_factors_parity_zeros_at_the_core():
 
 def test_extreme_and_roots_closed_forms():
     r = np.linspace(0.0, 1.0, 4)
-    f = PiecewisePoly.from_radial(RadialFunction(r, (r - 0.4) ** 2, 2.0 * (r - 0.4)))
+    f = _pieces(Hermite(r, (r - 0.4) ** 2, 2.0 * (r - 0.4)))
     value, r_at = f.extreme()
     assert value == pytest.approx(0.0, abs=1e-15)
     assert r_at == pytest.approx(0.4, abs=1e-8)
@@ -444,13 +466,12 @@ def test_extreme_and_roots_closed_forms():
     assert top == pytest.approx(0.36, abs=1e-15) and r_top == 1.0
     # H' = (r - 0.3)(r - 0.5) for the cubic H, cut to [0.2, 0.9]; the root
     # 0.5 lies on no knot, 0.3 on none either, and the knot 1/3 is shared
-    H = RadialFunction(r, r ** 3 / 3.0 - 0.4 * r ** 2 + 0.15 * r, (r - 0.3) * (r - 0.5))
-    roots = PiecewisePoly.from_radial(H).derivative().restrict(0.2, 0.9).roots()
+    H = Hermite(r, r ** 3 / 3.0 - 0.4 * r ** 2 + 0.15 * r, (r - 0.3) * (r - 0.5))
+    roots = _pieces(H).derivative().restrict(0.2, 0.9).roots()
     assert np.allclose(roots, [0.3, 0.5], atol=1e-14)
     # a root on a shared knot is reported once
-    K = RadialFunction(r, r ** 3 / 3.0 - r ** 2 / 3.0, r * r - 2.0 * r / 3.0)
-    assert np.allclose(PiecewisePoly.from_radial(K).derivative().roots(), [2.0 / 3.0],
-                       atol=1e-14)
+    K = Hermite(r, r ** 3 / 3.0 - r ** 2 / 3.0, r * r - 2.0 * r / 3.0)
+    assert np.allclose(_pieces(K).derivative().roots(), [2.0 / 3.0], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -503,24 +524,28 @@ def _exact_roots(fn, target):
 def test_cubic_roots_planted_cases():
     # (t - 1/4)^2 (t + 1) on one piece: a tangency at 1/4 and at the
     # critical point of the cubic, reported once
-    tangent = RadialFunction(np.array([0.0, 1.0]), np.array([0.0625, 1.125]),
-                             np.array([-0.4375, 3.5625]))
-    assert PiecewisePoly.from_radial(tangent).roots().tolist() == [0.25]
+    tangent = Hermite(np.array([0.0, 1.0]), np.array([0.0625, 1.125]),
+                      np.array([-0.4375, 3.5625]))
+    assert _pieces(tangent).roots().tolist() == [0.25]
     assert _exact_roots(tangent, 0.0) == [Fraction(1, 4)]
     # t (t - 1/2) (t - 1) on [0.25, 0.75]: roots at both piece ends
-    ends = RadialFunction(np.array([0.25, 0.75]), np.zeros(2), np.ones(2))
-    assert PiecewisePoly.from_radial(ends).roots().tolist() == [0.25, 0.5, 0.75]
+    ends = Hermite(np.array([0.25, 0.75]), np.zeros(2), np.ones(2))
+    assert _pieces(ends).roots().tolist() == [0.25, 0.5, 0.75]
     assert _exact_roots(ends, 0.0) == [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     # a piece equal to the target on [0.4, 0.9] is a band: it adds no
     # roots, its neighbours meet the target at its ends, each reported once
     knots = np.array([0.125, 0.375, 0.875, 1.0])
-    band = RadialFunction(knots, np.array([1.0, 2.0, 2.0, 3.0]), np.zeros(4))
-    assert (PiecewisePoly.from_radial(band) - 2.0).roots().tolist() == [0.375, 0.875]
+    band = Hermite(knots, np.array([1.0, 2.0, 2.0, 3.0]), np.zeros(4))
+    assert (_pieces(band) - 2.0).roots().tolist() == [0.375, 0.875]
     assert _exact_roots(band, 2.0) == [Fraction(3, 8), Fraction(7, 8)]
     # a simple root on a shared knot is reported once
-    knot = RadialFunction(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 1.0]),
-                          np.array([3.0, 1.0, 3.0]))
-    assert PiecewisePoly.from_radial(knot).roots().tolist() == [0.5]
+    knot = Hermite(np.array([0.0, 0.5, 1.0]), np.array([-1.0, 0.0, 1.0]),
+                   np.array([3.0, 1.0, 3.0]))
+    assert _pieces(knot).roots().tolist() == [0.5]
+    # a double root on the support of a bump: the closed-form local t is
+    # one ulp short of 1, and the root is the knot itself
+    bump = RadialFunction.bump(3.5, 0.04)
+    assert 0.04 in PiecewisePoly.from_radial(bump).derivative().roots().tolist()
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -530,7 +555,7 @@ def test_cubic_roots_match_exact(seed):
                         knots=np.sort(rng.uniform(0.0, 1.0, size=rng.integers(3, 7))))
     # every other seed plants a root on a shared knot
     target = float(f.values[1]) if seed % 2 else float(np.median(f.values))
-    got = (PiecewisePoly.from_radial(f) - target).roots()
+    got = (_pieces(f) - target).roots()
     want = _exact_roots(f, target)
     assert len(got) == len(want), (seed, got, [float(r) for r in want])
     for r, w in zip(got, want):
@@ -547,7 +572,7 @@ def test_integral_matches_exact(seed):
     rng = np.random.default_rng(seed)
     f = _random_hermite(rng, at_core=seed % 2 == 0)
     g = _random_hermite(rng, at_core=False, knots=f.knots)
-    F, G = PiecewisePoly.from_radial(f), PiecewisePoly.from_radial(g)
+    F, G = _pieces(f), _pieces(g)
     ef, eg = _exact_pieces(f), _exact_pieces(g)
     efp, egp = _exact_derivative(ef, f.knots), _exact_derivative(eg, g.knots)
     W = F.derivative() * G - F * G.derivative()
@@ -564,41 +589,25 @@ def test_integral_matches_exact(seed):
         assert gap <= Fraction(float(bound)), (seed, float(gap), float(bound))
 
 
-def test_from_hermite_rows_match_one_function_each():
-    # two functions side by side, the first ending short of `upto`: each
-    # row's pieces (its flat extension included) are those from_radial
-    # builds for it alone, and a row of sums is summed in the data
-    x = np.array([[0.0, 0.25, 0.5], [0.0, 0.5, 1.0]])
-    v = np.array([[1.0, 0.3, 0.1], [2.0, -1.0, 0.0]])
-    d = np.array([[0.0, -2.0, 0.5], [0.0, 1.0, -3.0]])
-    w = np.array([[-1.0, 0.7, 0.9], [0.5, 1.0 / 3.0, 0.25]])
-    fns = [[RadialFunction(x[i], a[i], b[i]) for i in range(2)] for a, b in ((v, d), (w, -d))]
-    for terms, sums in (([(v, d)], [(fn,) for fn in fns[0]]),
-                        ([(v, d), (w, -d)], list(zip(*fns)))):
-        rows = PiecewisePoly.from_hermite(x, terms, upto=1.0)
-        one = PiecewisePoly.concat([PiecewisePoly.from_radial(*fn, upto=1.0) for fn in sums])
-        assert rows.lo.tolist() == [0.0, 0.25, 0.5, 0.0, 0.5]
+def test_from_hermite_sums_terms_and_extends_flat():
+    # a function ending short of `upto`: its pieces are those of the
+    # RadialFunction of the summed data plus one flat piece to `upto`,
+    # and the sum is taken in the data
+    x = np.array([0.0, 0.25, 0.5])
+    v, d = np.array([1.0, 0.3, 0.1]), np.array([0.0, -2.0, 0.5])
+    w = np.array([-1.0, 0.7, 0.9])
+    for terms in ([(v, d)], [(v, d), (w, -d)]):
+        p = PiecewisePoly.from_hermite(x, terms, upto=1.0)
+        fns = [RadialFunction(x, *t) for t in terms]
+        one = PiecewisePoly.from_radial(*fns, upto=1.0)
+        assert p.lo.tolist() == [0.0, 0.25, 0.5] and p.hi.tolist() == [0.25, 0.5, 1.0]
         for name in ("lo", "hi", "coef", "err"):
-            assert np.array_equal(getattr(rows, name), getattr(one, name)), name
+            assert np.array_equal(getattr(p, name), getattr(one, name)), name
+        assert p.coef[-1].tolist() == [sum(t[0][-1] for t in terms), 0.0, 0.0, 0.0]
+        assert np.array_equal(PiecewisePoly.from_hermite(x, terms, upto=0.5).lo, x[:-1])
     # f + g with cancelling data: an exact zero, not a rounding residue
     zero = PiecewisePoly.from_hermite(x, [(v, d), (-v, -d)])
     assert not zero.coef.any() and not zero.err.any()
-
-
-def test_check_hermite_refuses_any_bad_row():
-    x = np.array([[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]])
-    v, d = np.ones_like(x), np.zeros_like(x)
-    check_hermite(x, v, d, "even")
-    bent = d.copy()
-    bent[1, 0] = 1.0
-    with pytest.raises(ValueError, match="even parity"):
-        check_hermite(x, v, bent, "even")
-    back = x.copy()
-    back[1, 2] = 0.5
-    with pytest.raises(ValueError, match="strictly increasing"):
-        check_hermite(back, v, d, "even")
-    with pytest.raises(ValueError, match="non-finite"):
-        check_hermite(x, v, np.where(bent > 0, np.nan, d), "even")
 
 
 def test_extremes_take_a_shared_knot_from_the_tighter_side():
