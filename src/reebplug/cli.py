@@ -1,7 +1,8 @@
 """Command-line pipeline for profiles, forms, disk maps, plugs, certificates.
 
-Artifacts are deterministic: JSON with sorted keys, CSV orbit tables
-with the header kind,r,p,q,T, and static SVG plots.  Files are written
+Artifacts are deterministic: strict JSON (sorted keys, 2-space indent,
+shortest round-trip floats, null for a non-finite value), CSV orbit
+tables with the header kind,r,p,q,T, and static SVG plots.  Files are written
 atomically (temp file plus rename) into --out.  Exit codes: 0 success,
 1 mathematical check failure, 2 input or configuration error.
 """
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .certify import CertificationError, assemble, systolic_bound
 from .diskmap import (BumpHarmonic, DiskMap, PrimitiveOneForm, action, calabi,
@@ -49,14 +51,29 @@ def _json_default(obj):
 def _write_text(path: Path, text: str) -> None:
     # write once, atomically: finished content appears under the final name
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
     print(f"wrote {path}")
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True,
-                                 default=_json_default) + "\n")
+    text = orjson.dumps(obj, default=_json_default, option=orjson.OPT_INDENT_2
+                        | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    _write_text(path, text.decode())
+
+
+def _read_json(path: str | Path) -> object:
+    """The JSON value in a file.  Text that orjson refuses (a NaN or
+    Infinity token, say) goes through the standard library's reader."""
+    data = Path(path).read_bytes()
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError:
+        return json.loads(data)
+
+
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _out_dir(args) -> Path:
@@ -154,7 +171,7 @@ def _cmd_profile_design(args) -> int:
 
 
 def _cmd_profile_verify(args) -> int:
-    curve = ProfileCurve.from_dict(json.loads(Path(args.curve).read_text()))
+    curve = ProfileCurve.from_dict(_read_json(args.curve))
     return _profile_artifacts(curve, args, with_curve=False)
 
 
@@ -163,7 +180,7 @@ def _cmd_profile_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_form(path: str) -> RotForm:
-    return RotForm.from_dict(json.loads(Path(path).read_text()))
+    return RotForm.from_dict(_read_json(path))
 
 
 def _cmd_rotorus_analyze(args) -> int:
@@ -183,8 +200,9 @@ def _cmd_rotorus_analyze(args) -> int:
     _write_json(_out_dir(args) / "analysis.json", {
         "contact_margin": margin,
         "sections": sections,
-        "t_min": {"value": est.value, "kind": est.kind, "r": est.r,
-                  "heuristic": est.heuristic},
+        # none-found has value inf and r nan: written as null
+        "t_min": {"value": _finite(est.value), "kind": est.kind,
+                  "r": _finite(est.r), "heuristic": est.heuristic},
         "volume": vol.to_dict(),
         "context": {"t_max": args.tmax, "q_max": args.qmax}})
     print(f"rotorus: contact margin {margin:.9g}, "
@@ -227,7 +245,7 @@ def _cmd_rotorus_volume(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_map(path: str) -> DiskMap:
-    return DiskMap.from_dict(json.loads(Path(path).read_text()))
+    return DiskMap.from_dict(_read_json(path))
 
 
 def _cmd_disk_act(args) -> int:
@@ -304,7 +322,7 @@ def _read_plug(entry, base: Path = Path()) -> dict:
     where = "inline plug"
     if isinstance(entry, str):
         where = str(base / entry)
-        entry = json.loads(Path(where).read_text())
+        entry = _read_json(where)
     return _checked(entry, where, ("L", "radius", "map"))
 
 
@@ -391,7 +409,7 @@ def _cmd_plug_realize(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_certify_run(args) -> int:
-    spec = _checked(json.loads(Path(args.assembly).read_text()), args.assembly,
+    spec = _checked(_read_json(args.assembly), args.assembly,
                     ("eps", "areas", "tau_bound", "plugs"))
     base = Path(args.assembly).parent
     plugs = [PlugSystem.from_dict(_read_plug(entry, base)) for entry in spec["plugs"]]

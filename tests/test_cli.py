@@ -256,6 +256,43 @@ def count_contact_decisions(monkeypatch) -> list:
     return calls
 
 
+def same_but_float_spelling(line: str, ref: str) -> bool:
+    """Two artifact lines that are equal, or that differ only in how one
+    number is spelled (0.00001953125 and 1.953125e-05, say)."""
+    if line == ref:
+        return True
+    head, _, value = line.rpartition(" ")
+    ref_head, _, ref_value = ref.rpartition(" ")
+    try:
+        same_number = float(value.rstrip(",")) == float(ref_value.rstrip(","))
+    except ValueError:
+        return False
+    return head == ref_head and same_number and value.endswith(",") == ref_value.endswith(",")
+
+
+def test_realized_form_round_trips_bit_for_bit(tmp_path):
+    # the twist_plug workload's positive plug: its knots are multiples of
+    # 0.04/256, which the standard library spells with an exponent
+    twist = DiskMap(0.05, (RadialTwist(RadialFunction.bump(3.5, 0.04)),)).to_dict()
+    plug_file = write_plug(tmp_path / "plug.json", twist)
+    assert main(["plug", "realize", str(plug_file), "--out", str(tmp_path)]) == 0
+    phi, L = plug_module.plug_inputs(cli_module._read_plug(str(plug_file)))
+    form = plug_module.realize_rotational(phi.combined_profile(), L, phi.radius)
+    back = RotForm.from_dict(cli_module._read_json(tmp_path / "form.json"))
+    assert (back.radius, back.core_period, back.kappa) == (form.radius, form.core_period,
+                                                           form.kappa)
+    for name in ("c", "d"):
+        for field in ("knots", "values", "derivs"):
+            ours = getattr(getattr(form, name), field)
+            assert getattr(getattr(back, name), field).tobytes() == ours.tobytes(), (name, field)
+    # the standard library's layout (sorted keys, 2-space indent) line for
+    # line, apart from float spelling, and one newline at the end
+    text = (tmp_path / "form.json").read_text()
+    ref = json.dumps(json.loads(text), indent=2, sort_keys=True).splitlines()
+    assert text.endswith("}\n") and len(text.splitlines()) == len(ref)
+    assert all(same_but_float_spelling(a, b) for a, b in zip(text.splitlines(), ref))
+
+
 def test_plug_realize_decides_contact_once(tmp_path, capsys, monkeypatch):
     # the margin printed is the one realize_rotational decided
     plug_file = write_plug(tmp_path / "plug.json", twist_dict(1.0))
@@ -537,6 +574,28 @@ def cli_inputs(tmp_path_factory):
     return d
 
 
+def refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_artifact_is_strict_json(cli_inputs, tmp_path):
+    # one run of each command, and analyze on a range where no orbit is
+    # found: its t_min (inf at radius nan) is written as null
+    runs = {command: command.split() + [a.format(d=cli_inputs) for a in argv]
+            for command, (_, argv) in COMMANDS.items()}
+    runs["rotorus analyze none-found"] = ["rotorus", "analyze",
+                                          str(cli_inputs / "binding_form.json"), "--tmax", "0.5"]
+    for name, argv in runs.items():
+        assert run(argv, tmp_path / name.replace(" ", "_")) == 0, name
+    artifacts = sorted(tmp_path.rglob("*.json"))
+    assert len(artifacts) == 22
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=refuse_constant)
+    t_min = json.loads((tmp_path / "rotorus_analyze_none-found" / "analysis.json").read_text())["t_min"]
+    assert t_min["kind"] == "none-found"
+    assert t_min["value"] is None and t_min["r"] is None
+
+
 def test_parser_pins_each_subcommands_options():
     assert sum(len(opts) for opts, _ in COMMANDS.values()) == 61
     for command, (opts, _) in COMMANDS.items():
@@ -615,11 +674,21 @@ def test_radial_pipeline_never_imports_scipy(tmp_path):
     assert result["scipy"] == []
 
 
-def test_cli_import_loads_no_network_modules():
-    # the SVG writer escapes text itself; xml.sax.saxutils pulls in urllib
+def cli_import_modules() -> list[str]:
+    """The modules a fresh interpreter has loaded after `import reebplug.cli`."""
     env = dict(os.environ, PYTHONPATH=str(Path(plug_module.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, reebplug.cli; "
-         "print(sorted(m for m in ('urllib.request', 'http.client') if m in sys.modules))"],
+        [sys.executable, "-c", "import sys, reebplug.cli; print('\\n'.join(sys.modules))"],
         env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.split()
+
+
+def test_cli_import_loads_no_network_modules():
+    # the SVG writer escapes text itself; xml.sax.saxutils pulls in urllib
+    assert not {"urllib.request", "http.client"} & set(cli_import_modules())
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads on the first command that integrates with it, not with the
+    # CLI: importing it would put about 0.8 s into every command's start-up
+    assert [m for m in cli_import_modules() if m.split(".")[0] == "scipy"] == []

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -113,35 +113,49 @@ def test_action_anchor_and_support():
     assert s2(0.75 + 0.0j) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_twist_action_and_calabi_match_gauss_quadrature(data):
-    # random even cubic-Hermite profiles ending in whole turns: sigma and CAL
-    # integrate polynomials on the mirrored pieces, while gauss_piecewise
-    # samples rho' through the profile's own evaluator, so the two routes
-    # share no code
-    n = data.draw(st.integers(2, 9), label="pieces")
-    support = data.draw(st.floats(0.05, 2.0), label="support")
-    cuts = np.cumsum(data.draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+@st.composite
+def hermite_twist_cases(draw):
+    """Random even cubic-Hermite profiles ending in whole turns, and radii
+    in their support: (knots, values, derivs, radii)."""
+    n = draw(st.integers(2, 9))
+    support = draw(st.floats(0.05, 2.0))
+    cuts = np.cumsum(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
     knots = support * np.concatenate([[0.0], cuts / cuts[-1]])
-    turns = data.draw(st.integers(-1, 1), label="turns")
-    values = np.append(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)),
+    turns = draw(st.integers(-1, 1))
+    values = np.append(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)),
                        2.0 * np.pi * turns)
-    derivs = np.insert(data.draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)),
+    derivs = np.insert(draw(st.lists(st.floats(-20.0, 20.0), min_size=n, max_size=n)),
                        0, 0.0) / support
+    radii = np.concatenate([knots, support * np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)))])
+    return knots, values, derivs, radii
+
+
+# subnormal data: scale underflows, and the two routes differ by a few
+# subnormals (sigma by one, CAL by four)
+@example(case=(np.array([0.0, 0.75, 1.5]), np.zeros(3), np.array([0.0, 0.0, 5e-324]),
+               np.array([0.0, 0.75, 1.5, 0.0])))
+@settings(max_examples=60, deadline=None)
+@given(hermite_twist_cases())
+def test_twist_action_and_calabi_match_gauss_quadrature(case):
+    # sigma and CAL integrate polynomials on the mirrored pieces, while
+    # gauss_piecewise samples rho' through the profile's own evaluator, so
+    # the two routes share no code
+    knots, values, derivs, radii = case
+    support = knots[-1]
     prof = RadialFunction(knots, values, derivs, parity="even")
     twist = RadialTwist(prof)
-    radii = np.concatenate([knots, support * np.array(
-        data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), label="radii"))])
+    # an absolute floor at the subnormal scale; above it the bounds are relative
+    floor = 8 * np.finfo(float).smallest_subnormal
 
     def dsigma(r):
         return 0.5 * r * r * prof.derivative(r)
 
     scale = support * np.max(np.abs(dsigma(np.linspace(0.0, support, 1001))))
     gauss = np.array([-gauss_piecewise(dsigma, knots, r, support) for r in radii])
-    assert np.max(np.abs(twist.action(radii) - gauss)) <= 1e-13 * scale
+    assert np.max(np.abs(twist.action(radii) - gauss)) <= max(1e-13 * scale, floor)
     cal = gauss_piecewise(lambda r: 2.0 * np.pi * r * twist.action(r), knots, 0.0, support)
-    assert abs(twist.calabi() - cal) <= 1e-13 * np.pi * support ** 2 * scale
+    assert abs(twist.calabi() - cal) <= max(1e-13 * np.pi * support ** 2 * scale, floor)
     assert twist.action(support) == 0.0 and not np.signbit(twist.action(support))
 
 
